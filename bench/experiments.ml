@@ -1691,8 +1691,7 @@ let serve () =
   let frames = ref [] in
   let t0 = Unix.gettimeofday () in
   let c_tele =
-    (Job.execute ~on_telemetry:(fun te -> frames := te :: !frames)
-       ~telemetry_every_s:0.05 tele_spec)
+    (Job.execute ~on_telemetry:(fun te -> frames := te :: !frames) tele_spec)
       .Job.o_campaign
   in
   let wall_tele = Unix.gettimeofday () -. t0 in

@@ -332,8 +332,7 @@ let mk_job ?fingerprint pk pname mixname mk (base : Protocol.params) seed =
               ~extra:(failure_core_json fail) false
           end)
 
-let run ?jobs ?cache ?fingerprint ?on_progress ?on_telemetry
-    ?telemetry_every_s ?stop
+let run ?jobs ?cache ?fingerprint ?on_progress ?on_telemetry ?stop
     ?(protocols = default_protocols) ?mix_filter ?(seeds = 8) ?base () =
   let base = match base with Some b -> b | None -> Protocol.default in
   let chosen =
@@ -354,7 +353,7 @@ let run ?jobs ?cache ?fingerprint ?on_progress ?on_telemetry
               chosen)
       protocols
   in
-  let c = Runner.run ?jobs ?cache ?on_progress ?on_telemetry ?telemetry_every_s ?stop
+  let c = Runner.run ?jobs ?cache ?on_progress ?on_telemetry ?stop
       ~exp:"chaos" joblist in
   let fails =
     Array.to_list c.Runner.c_results

@@ -89,7 +89,6 @@ val run :
   ?fingerprint:(string -> string) ->
   ?on_progress:(Runner.progress -> unit) ->
   ?on_telemetry:(Runner.telemetry -> unit) ->
-  ?telemetry_every_s:float ->
   ?stop:(unit -> bool) ->
   ?protocols:string list ->
   ?mix_filter:string list ->

@@ -188,12 +188,12 @@ let counterexamples c =
 
 type outcome = { o_campaign : Runner.campaign; o_ces : Schedule.t list }
 
-let explore ?jobs:j ?cache ?fingerprint ?on_progress ?on_telemetry
-    ?telemetry_every_s ?stop ~protocol p bounds =
+let explore ?jobs:j ?cache ?fingerprint ?on_progress ?on_telemetry ?stop
+    ~protocol p bounds =
   let jl = jobs ?fingerprint ~protocol p bounds in
   let c =
-    Runner.run ?jobs:j ?cache ?on_progress ?on_telemetry ?telemetry_every_s
-      ?stop ~exp:"explore" jl
+    Runner.run ?jobs:j ?cache ?on_progress ?on_telemetry ?stop ~exp:"explore"
+      jl
   in
   { o_campaign = c; o_ces = counterexamples c }
 

@@ -71,7 +71,6 @@ val explore :
   ?fingerprint:(string -> string) ->
   ?on_progress:(Runner.progress -> unit) ->
   ?on_telemetry:(Runner.telemetry -> unit) ->
-  ?telemetry_every_s:float ->
   ?stop:(unit -> bool) ->
   protocol:string ->
   Protocol.params ->

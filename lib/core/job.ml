@@ -393,7 +393,7 @@ let replay_body source path index () =
                     reproduced)))
 
 let execute ?jobs ?cache ?(fingerprint = Fingerprint.protocol) ?on_progress
-    ?on_telemetry ?telemetry_every_s ?stop spec =
+    ?on_telemetry ?stop spec =
   match spec with
   | Run { protocol; params } | Campaign { protocol; params; seeds = _ } -> (
       let seeds = match spec with Campaign { seeds; _ } -> seeds | _ -> 1 in
@@ -408,8 +408,8 @@ let execute ?jobs ?cache ?(fingerprint = Fingerprint.protocol) ?on_progress
           in
           let joblist = List.init seeds mk in
           let c =
-            Runner.run ?jobs ?cache ?on_progress ?on_telemetry
-              ?telemetry_every_s ?stop ~exp:protocol joblist
+            Runner.run ?jobs ?cache ?on_progress ?on_telemetry ?stop
+              ~exp:protocol joblist
           in
           {
             o_spec = spec;
@@ -420,9 +420,8 @@ let execute ?jobs ?cache ?(fingerprint = Fingerprint.protocol) ?on_progress
           })
   | Chaos { protocols; mixes; seeds; base } ->
       let o =
-        Chaos.run ?jobs ?cache ~fingerprint ?on_progress ?on_telemetry
-          ?telemetry_every_s ?stop ~protocols
-          ~mix_filter:mixes ~seeds ~base ()
+        Chaos.run ?jobs ?cache ~fingerprint ?on_progress ?on_telemetry ?stop
+          ~protocols ~mix_filter:mixes ~seeds ~base ()
       in
       let c = o.Chaos.o_campaign in
       let exit =
@@ -435,8 +434,7 @@ let execute ?jobs ?cache ?(fingerprint = Fingerprint.protocol) ?on_progress
   | Explore { protocol; params; bounds } ->
       let o =
         Explorer.explore ?jobs ?cache ~fingerprint ?on_progress ?on_telemetry
-          ?telemetry_every_s ?stop ~protocol
-          params bounds
+          ?stop ~protocol params bounds
       in
       let c = o.Explorer.o_campaign in
       {
@@ -454,7 +452,7 @@ let execute ?jobs ?cache ?(fingerprint = Fingerprint.protocol) ?on_progress
           (replay_body source path index)
       in
       let c =
-        Runner.run ~jobs:1 ?on_progress ?on_telemetry ?telemetry_every_s ?stop
+        Runner.run ~jobs:1 ?on_progress ?on_telemetry ?stop
           ~exp:"replay" [ j ]
       in
       {

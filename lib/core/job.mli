@@ -117,7 +117,6 @@ val execute :
   ?fingerprint:(string -> string) ->
   ?on_progress:(Runner.progress -> unit) ->
   ?on_telemetry:(Runner.telemetry -> unit) ->
-  ?telemetry_every_s:float ->
   ?stop:(unit -> bool) ->
   spec ->
   outcome

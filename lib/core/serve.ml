@@ -8,22 +8,26 @@
    streams progress events back live, and resolves warm jobs from the
    content-addressed result cache.
 
-   Concurrency model: one reader domain per connection (ops — submit,
-   cancel, status, subscription toggles — are handled promptly, even
-   while a job runs), capped at [max_reader_domains] — OCaml 5 bounds
-   live domains and the campaign engine's workers share that budget,
-   so a connection burst sheds instead of crashing — plus one executor
-   domain that drains the FIFO.  One job runs at a time: parallelism
-   lives inside the campaign engine (worker domains), not across jobs,
-   so two submissions never fight over domains or artifact files.  All
-   shared state sits behind one mutex [t.m].  Outbound frames never
-   block: each client has a FIFO of pending frames drained by
-   non-blocking writes (at enqueue time and whenever the reader's
-   select reports the socket writable), so a client that stops reading
-   stalls only itself — once [max_outbound_bytes] pile up it is shed.
-   Submit acks are enqueued while [t.m] is held and the executor needs
-   [t.m] to dequeue, so a job's ack always precedes its progress/done
-   frames in the client's outbound FIFO.
+   Concurrency model: one [Unix.select] loop on the calling domain owns
+   the listening socket, every client socket and all daemon state —
+   history, FIFO, watchers, journal appends, outbound queues — so none
+   of it needs a lock.  A job attempt runs on an executor domain that
+   the loop spawns when it starts the attempt and joins when the
+   attempt concludes, so one job runs at a time: parallelism lives
+   inside the campaign engine, not across jobs.  The executor reaches
+   the loop only through the mailbox, a mutex-guarded queue of work for
+   the loop plus one byte on a self-pipe that wakes the select: it
+   posts progress frames, telemetry snapshots and the attempt's outcome.
+   It reads its stop request (cancel or shutdown) from an [Atomic] the
+   loop sets, and checks its own deadline.  Because one thread queues
+   every frame, a job's ack precedes its progress and done frames, and
+   the running slot is cleared before [done] is sent.
+   Outbound frames never block: each client has a FIFO drained by
+   non-blocking writes (at enqueue time and whenever select reports the
+   socket writable), so a client that stops reading stalls only itself
+   and is shed once [max_outbound_bytes] pile up.  Connections past
+   [max_clients] get an error frame: select cannot watch descriptors at
+   or above FD_SETSIZE.
 
    Crash safety (DESIGN.md §13): every accepted spec and every state
    transition is appended (fsync'd) to <out_dir>/serve_journal.jsonl
@@ -71,22 +75,19 @@ let journal_path out_dir = Filename.concat out_dir "serve_journal.jsonl"
 
 type state = Queued | Running | Done | Cancelled | Rejected | Poisoned
 
-let state_to_string = function
-  | Queued -> "queued"
-  | Running -> "running"
-  | Done -> "done"
-  | Cancelled -> "cancelled"
-  | Rejected -> "rejected"
-  | Poisoned -> "poisoned"
+let states =
+  [
+    (Queued, "queued");
+    (Running, "running");
+    (Done, "done");
+    (Cancelled, "cancelled");
+    (Rejected, "rejected");
+    (Poisoned, "poisoned");
+  ]
 
-let state_of_string = function
-  | "queued" -> Some Queued
-  | "running" -> Some Running
-  | "done" -> Some Done
-  | "cancelled" -> Some Cancelled
-  | "rejected" -> Some Rejected
-  | "poisoned" -> Some Poisoned
-  | _ -> None
+let state_to_string s = List.assoc s states
+let state_of_string str =
+  List.find_map (fun (s, n) -> if n = str then Some s else None) states
 
 let is_terminal = function
   | Done | Cancelled | Rejected | Poisoned -> true
@@ -98,19 +99,17 @@ let is_terminal = function
    {"op":"cancel"} can be routed without an id.
 
    Outbound frames go through [cl_outq], written with non-blocking
-   writes only — a send never blocks, so a client whose socket buffer
-   is full (stopped reading) can never wedge the executor or the other
-   connections' ops.  A backlog past [max_outbound_bytes] marks the
-   client dead ([cl_dead]); its reader turns that into a normal
-   disconnect. *)
+   writes only, so a client whose socket buffer is full (stopped
+   reading) never wedges the loop.  A hang-up, a write error or a
+   backlog past [max_outbound_bytes] marks the client dead ([cl_dead]);
+   the loop drops it at the end of its turn. *)
 type client = {
-  cl_fd : Unix.file_descr;  (* set non-blocking by the reader *)
+  cl_fd : Unix.file_descr;  (* non-blocking *)
   cl_dec : Json.Stream.decoder;
-  cl_wmutex : Mutex.t;  (* guards the outbound fields below *)
   cl_outq : string Queue.t;  (* whole frames (line included), oldest first *)
   mutable cl_out_pos : int;  (* bytes of the queue head already written *)
   mutable cl_out_bytes : int;  (* unwritten bytes across the whole queue *)
-  mutable cl_dead : bool;  (* write error or slow-consumer shed *)
+  mutable cl_dead : bool;
   mutable subscribed : bool;
   mutable cl_last_submit : int;  (* 0 = none *)
 }
@@ -132,26 +131,20 @@ type record = {
   mutable last_telemetry_s : float;  (* Unix time of last snapshot; 0. = never *)
   mutable attempt : int;  (* 0-based execution attempt *)
   mutable not_before : float;  (* backoff gate (Unix time); 0. = ready *)
-  mutable cancel_req : bool;  (* consumed by the running job's stop hook *)
   mutable watchers : client list;  (* clients streaming this job *)
-  mutable ever_watched : bool;  (* false only for journal-resumed jobs *)
 }
 
-(* ---- framing ---- *)
+(* ---- outbound ---- *)
 
 let max_outbound_bytes = 8 * 1024 * 1024
-let max_reader_domains = 32
 
-(* Call with [cl.cl_wmutex] held. *)
-let clear_outbound cl =
-  cl.cl_dead <- true;
-  Queue.clear cl.cl_outq;
-  cl.cl_out_pos <- 0;
-  cl.cl_out_bytes <- 0
+(* [Unix.select] raises EINVAL for descriptors >= FD_SETSIZE (1024);
+   the cap leaves ample headroom for the journal, cache files and the
+   engine's own descriptors. *)
+let max_clients = 256
 
-(* Write as much queued outbound as the socket accepts right now.
-   Call with [cl.cl_wmutex] held; never blocks (the fd is
-   non-blocking). *)
+(* Write as much queued outbound as the socket accepts right now; never
+   blocks (the fd is non-blocking). *)
 let rec flush_outbound cl =
   match Queue.peek_opt cl.cl_outq with
   | None -> ()
@@ -166,14 +159,13 @@ let rec flush_outbound cl =
             flush_outbound cl
           end
           else cl.cl_out_pos <- cl.cl_out_pos + n
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
+      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
       | exception (Unix.Unix_error _ | Sys_error _) ->
-          (* Hung-up client (EPIPE et al., SIGPIPE is ignored while
-             serving): the reader sees [cl_dead] and disconnects. *)
-          clear_outbound cl)
+          (* Hung-up client (EPIPE et al.; SIGPIPE is ignored while
+             serving). *)
+          cl.cl_dead <- true)
 
 let send_client cl j =
-  Mutex.lock cl.cl_wmutex;
   if not cl.cl_dead then begin
     let s = Json.to_string ~minify:true j ^ "\n" in
     Queue.push s cl.cl_outq;
@@ -181,25 +173,25 @@ let send_client cl j =
     flush_outbound cl;
     (* A reader that stopped draining its socket: shed it rather than
        buffer without bound. *)
-    if cl.cl_out_bytes > max_outbound_bytes then clear_outbound cl
-  end;
-  Mutex.unlock cl.cl_wmutex
+    if cl.cl_out_bytes > max_outbound_bytes then cl.cl_dead <- true
+  end
 
-let error_frame ?id msg =
-  Json.Obj
-    ((match id with None -> [] | Some id -> [ ("id", Json.Int id) ])
-    @ [ ("type", Json.String "error"); ("message", Json.String msg) ])
+let broadcast r frame = List.iter (fun cl -> send_client cl frame) r.watchers
 
+(* ---- frames ---- *)
+
+let frame ty fields = Json.Obj (("type", Json.String ty) :: fields)
+let error_frame msg = frame "error" [ ("message", Json.String msg) ]
+let strings l = Json.List (List.map (fun e -> Json.String e) l)
 let sig_md5 c = Digest.to_hex (Digest.string (Runner.signature c))
 
 let record_json r =
+  let about f = Json.String (match r.spec with Some s -> f s | None -> "?") in
   Json.Obj
     [
       ("id", Json.Int r.id);
-      ( "kind",
-        Json.String (match r.spec with Some s -> Job.kind s | None -> "?") );
-      ( "summary",
-        Json.String (match r.spec with Some s -> Job.summary s | None -> "?") );
+      ("kind", about Job.kind);
+      ("summary", about Job.summary);
       ("state", Json.String (state_to_string r.rstate));
       ("phase", Json.String r.phase);
       ("exit", Json.Int r.exit_code);
@@ -212,14 +204,25 @@ let record_json r =
       ( "telemetry_age_s",
         if r.last_telemetry_s <= 0. then Json.Null
         else Json.Float (Unix.gettimeofday () -. r.last_telemetry_s) );
-      ("errors", Json.List (List.map (fun e -> Json.String e) r.errors));
+      ("errors", strings r.errors);
     ]
 
-let subscription_frame cl =
-  Json.Obj
-    [
-      ("type", Json.String (if cl.subscribed then "subscribed" else "unsubscribed"));
-    ]
+let done_frame ?(extra = []) r ~jobs ~failed ~cancelled ~wall =
+  frame "done"
+    ([
+       ("id", Json.Int r.id);
+       ("state", Json.String (state_to_string r.rstate));
+       ("exit", Json.Int r.exit_code);
+       ("jobs", Json.Int jobs);
+       ("failed", Json.Int failed);
+       ("cache_hits", Json.Int r.cache_hits);
+       ("executed", Json.Int r.executed);
+       ("cache_skipped", Json.Int r.cache_skipped);
+       ("cancelled", Json.Bool cancelled);
+       ("wall_s", Json.Float wall);
+       ("signature", Json.String r.signature);
+     ]
+    @ extra)
 
 let telemetry_frame id te =
   let fields =
@@ -227,8 +230,7 @@ let telemetry_frame id te =
     | Json.Obj fields -> fields
     | j -> [ ("telemetry", j) ]
   in
-  Json.Obj
-    (("type", Json.String "telemetry") :: ("id", Json.Int id) :: fields)
+  frame "telemetry" (("id", Json.Int id) :: fields)
 
 (* ---- journal schema + recovery ---- *)
 
@@ -347,19 +349,47 @@ end
 
 (* ---- the daemon ---- *)
 
+(* Why an attempt stopped early.  The loop requests a cancel (by a
+   client, or because every watcher hung up) or a shutdown; the executor
+   notices its own deadline. *)
+type stop_reason = Stop_cancel | Stop_shutdown | Stop_deadline
+
+type attempt = {
+  a_rec : record;
+  a_stop : stop_reason option Atomic.t;  (* written by the loop only *)
+  a_dom : unit Domain.t;
+}
+
 type t = {
   cfg : config;
   cache : Runner.Cache.t option;
-  m : Mutex.t;  (* guards every mutable field below + record mutation *)
   journal : Journal.t;
+  (* The mailbox: the only state the executor shares with the loop.  It
+     holds work for the loop, run in the order it was posted. *)
+  mb_lock : Mutex.t;
+  mb_work : (unit -> unit) Queue.t;
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;
+  (* Everything below belongs to the loop. *)
+  mutable clients : client list;
   mutable history : record list;  (* newest first *)
   mutable queue : record list;  (* FIFO, oldest first; subset of history *)
-  mutable running : record option;
+  mutable running : attempt option;
   mutable next_id : int;
   mutable shutdown : bool;
   mutable jobs_retried : int;
   mutable jobs_poisoned : int;
 }
+
+(* Called from the executor and the engine's workers: [f] runs on the
+   loop. *)
+let post t f =
+  Mutex.lock t.mb_lock;
+  Queue.push f t.mb_work;
+  Mutex.unlock t.mb_lock;
+  (* EAGAIN: the full pipe already holds a wake-up. *)
+  try ignore (Unix.single_write_substring t.wake_w "!" 0 1)
+  with Unix.Unix_error _ -> ()
 
 (* Journal IO failures (disk full, …) must degrade durability, not
    availability: the daemon keeps serving, recovery just knows less. *)
@@ -367,67 +397,41 @@ let jlog t entry =
   try Journal.append t.journal entry
   with Sys_error _ | Unix.Unix_error _ -> ()
 
-(* Call with [t.m] held. *)
-let fresh_record ?(deadline_s = 0.) ?(resumed = false) t spec =
-  let r =
-    {
-      id = t.next_id;
-      spec;
-      canonical = (match spec with Some s -> Job.canonical s | None -> "");
-      deadline_s;
-      resumed;
-      rstate = Queued;
-      phase = "queued";
-      exit_code = 0;
-      cache_hits = 0;
-      executed = 0;
-      cache_skipped = 0;
-      signature = "";
-      errors = [];
-      last_telemetry_s = 0.;
-      attempt = 0;
-      not_before = 0.;
-      cancel_req = false;
-      watchers = [];
-      ever_watched = false;
-    }
-  in
+let make_record ?(deadline_s = 0.) ?(resumed = false) ~id spec =
+  {
+    id;
+    spec;
+    canonical = (match spec with Some s -> Job.canonical s | None -> "");
+    deadline_s;
+    resumed;
+    rstate = Queued;
+    phase = "queued";
+    exit_code = 0;
+    cache_hits = 0;
+    executed = 0;
+    cache_skipped = 0;
+    signature = "";
+    errors = [];
+    last_telemetry_s = 0.;
+    attempt = 0;
+    not_before = 0.;
+    watchers = [];
+  }
+
+let fresh_record ?deadline_s t spec =
+  let r = make_record ?deadline_s ~id:t.next_id spec in
   t.next_id <- t.next_id + 1;
   t.history <- r :: t.history;
   r
 
-let queue_depth t =
-  List.length t.queue + (match t.running with Some _ -> 1 | None -> 0)
+let dequeue t r = t.queue <- List.filter (fun x -> x != r) t.queue
 
-let dequeue t r = t.queue <- List.filter (fun x -> x.id <> r.id) t.queue
-
-(* Call with [t.m] held, from the concluding transition itself — the
-   running slot must read empty before the job's done frame hits the
-   wire, or a status sent right after [done] still counts the job. *)
-let clear_running t r =
-  match t.running with Some x when x == r -> t.running <- None | _ -> ()
-
-(* Call with [t.m] held; watchers are snapshot so frames are written
-   after the lock is released. *)
-let watchers_of r = r.watchers
-
-let done_frame r ~jobs ~failed ~cancelled ~wall ~extra =
-  Json.Obj
-    ([
-       ("type", Json.String "done");
-       ("id", Json.Int r.id);
-       ("state", Json.String (state_to_string r.rstate));
-       ("exit", Json.Int r.exit_code);
-       ("jobs", Json.Int jobs);
-       ("failed", Json.Int failed);
-       ("cache_hits", Json.Int r.cache_hits);
-       ("executed", Json.Int r.executed);
-       ("cache_skipped", Json.Int r.cache_skipped);
-       ("cancelled", Json.Bool cancelled);
-       ("wall_s", Json.Float wall);
-       ("signature", Json.String r.signature);
-     ]
-    @ extra)
+(* Ask the running attempt to stop at its next job boundary; the first
+   reason given sticks. *)
+let request_stop t why =
+  Option.iter
+    (fun a -> ignore (Atomic.compare_and_set a.a_stop None (Some why)))
+    t.running
 
 (* Capped exponential backoff before retry [attempt] (1-based): the
    Fd.Timeout delay shape — base * 2^(attempt-1), capped — minus the
@@ -440,8 +444,8 @@ let backoff_delay t attempt =
    backoff while budget remains, else quarantine as poison with a
    ready-to-paste resubmission command in the journal. *)
 let conclude_failure t r note =
-  Mutex.lock t.m;
   r.errors <- r.errors @ [ note ];
+  let reason = ("reason", Json.String note) in
   if r.attempt < t.cfg.retry_budget then begin
     r.attempt <- r.attempt + 1;
     let delay = backoff_delay t r.attempt in
@@ -450,97 +454,48 @@ let conclude_failure t r note =
     r.phase <-
       Printf.sprintf "backoff %.3gs (retry %d/%d)" delay r.attempt
         t.cfg.retry_budget;
-    r.cancel_req <- false;
     t.jobs_retried <- t.jobs_retried + 1;
-    clear_running t r;
     t.queue <- t.queue @ [ r ];
+    let backoff = ("backoff_s", Json.Float delay) in
     jlog t
-      (Recovery.state_entry ~id:r.id ~attempt:r.attempt
-         ~extra:
-           [ ("backoff_s", Json.Float delay); ("reason", Json.String note) ]
+      (Recovery.state_entry ~id:r.id ~attempt:r.attempt ~extra:[ backoff; reason ]
          "retrying");
-    let ws = watchers_of r in
     t.cfg.log
       (Printf.sprintf "job %d: %s; retry %d/%d in %.3gs" r.id note r.attempt
          t.cfg.retry_budget delay);
-    Mutex.unlock t.m;
-    List.iter
-      (fun cl ->
-        send_client cl
-          (Json.Obj
-             [
-               ("type", Json.String "retry");
-               ("id", Json.Int r.id);
-               ("attempt", Json.Int r.attempt);
-               ("backoff_s", Json.Float delay);
-               ("reason", Json.String note);
-             ]))
-      ws
+    broadcast r
+      (frame "retry"
+         [ ("id", Json.Int r.id); ("attempt", Json.Int r.attempt); backoff; reason ])
   end
   else begin
     r.rstate <- Poisoned;
     r.phase <- "poisoned";
     r.exit_code <- 6;
-    clear_running t r;
     t.jobs_poisoned <- t.jobs_poisoned + 1;
+    let name = Printf.sprintf "poison_job_%d.json" r.id in
     let replay =
-      match r.spec with
+      match Option.bind r.spec (Job.write_spec ~dir:t.cfg.out_dir ~name) with
+      | Some path -> "fdkit submit --spec " ^ path
       | None -> ""
-      | Some spec -> (
-          match
-            Job.write_spec ~dir:t.cfg.out_dir
-              ~name:(Printf.sprintf "poison_job_%d.json" r.id)
-              spec
-          with
-          | Some path -> Printf.sprintf "fdkit submit --spec %s" path
-          | None -> "")
     in
+    let replay = ("replay", Json.String replay) in
     jlog t
       (Recovery.state_entry ~id:r.id ~attempt:r.attempt
-         ~extra:
-           [
-             ("exit", Json.Int r.exit_code);
-             ("reason", Json.String note);
-             ("replay", Json.String replay);
-           ]
+         ~extra:[ ("exit", Json.Int r.exit_code); reason; replay ]
          "poisoned");
-    let ws = watchers_of r in
     t.cfg.log
       (Printf.sprintf "job %d: poisoned after %d attempts (%s)" r.id
          (r.attempt + 1) note);
-    Mutex.unlock t.m;
-    List.iter
-      (fun cl ->
-        send_client cl
-          (done_frame r ~jobs:0 ~failed:0 ~cancelled:false ~wall:0.
-             ~extra:
-               [
-                 ("reason", Json.String note); ("replay", Json.String replay);
-               ]))
-      ws
+    broadcast r
+      (done_frame r ~jobs:0 ~failed:0 ~cancelled:false ~wall:0.
+         ~extra:[ reason; replay ])
   end
 
 (* A finished attempt (the campaign ran to completion or was cancelled
    at a job boundary by a client/orphan stop). *)
-let finalize t r (o : Job.outcome) final =
+let finalize t r final (o : Job.outcome) artifact_errors =
   let c = o.Job.o_campaign in
-  r.phase <- "writing artifacts";
-  (match r.spec with
-  | None | Some (Job.Run _ | Job.Replay _) -> ()
-  | Some ((Job.Campaign _ | Job.Chaos _ | Job.Explore _) as spec) -> (
-      try
-        ignore (Runner.write_artifact ~dir:t.cfg.out_dir c);
-        (match o.Job.o_chaos with
-        | Some co ->
-            ignore (Chaos.write_failures ~dir:t.cfg.out_dir co.Chaos.o_failures)
-        | None -> ());
-        match (spec, o.Job.o_ces) with
-        | Job.Explore { protocol; _ }, ces ->
-            ignore (Explorer.write_counterexamples ~dir:t.cfg.out_dir ~protocol ces)
-        | _ -> ()
-      with Sys_error e -> r.errors <- r.errors @ [ "artifact write failed: " ^ e ]));
-  Mutex.lock t.m;
-  clear_running t r;
+  r.errors <- r.errors @ artifact_errors;
   r.rstate <- final;
   r.phase <- "finished";
   r.exit_code <- o.Job.o_exit;
@@ -551,69 +506,58 @@ let finalize t r (o : Job.outcome) final =
   jlog t
     (Recovery.state_entry ~id:r.id ~attempt:r.attempt
        ~extra:
-         [
-           ("exit", Json.Int r.exit_code);
-           ("signature", Json.String r.signature);
-         ]
+         [ ("exit", Json.Int r.exit_code); ("signature", Json.String r.signature) ]
        (state_to_string r.rstate));
-  let ws = watchers_of r in
   t.cfg.log
     (Printf.sprintf "job %d: %s exit=%d hits=%d executed=%d skipped=%d" r.id
        (state_to_string r.rstate) r.exit_code r.cache_hits r.executed
        r.cache_skipped);
-  Mutex.unlock t.m;
-  List.iter
-    (fun cl ->
-      send_client cl
-        (done_frame r
-           ~jobs:(Array.length c.Runner.c_results)
-           ~failed:(List.length (Runner.failures c))
-           ~cancelled:c.Runner.c_cancelled ~wall:c.Runner.c_wall_s ~extra:[]))
-    ws
+  broadcast r
+    (done_frame r
+       ~jobs:(Array.length c.Runner.c_results)
+       ~failed:(List.length (Runner.failures c))
+       ~cancelled:c.Runner.c_cancelled ~wall:c.Runner.c_wall_s)
 
-(* Run one dequeued record on the executor domain.  The stop hook is
-   polled by the campaign engine between job submissions: it folds in
-   client cancels, orphaned jobs (every watcher hung up), the per-job
-   wall-clock deadline, and daemon shutdown. *)
-let execute_record t r =
+(* ---- the executor ---- *)
+
+(* Campaign-shaped jobs leave their usual artifacts in out_dir. *)
+let write_artifacts dir spec (o : Job.outcome) =
+  match spec with
+  | Job.Run _ | Job.Replay _ -> []
+  | Job.Campaign _ | Job.Chaos _ | Job.Explore _ -> (
+      try
+        ignore (Runner.write_artifact ~dir o.Job.o_campaign);
+        Option.iter
+          (fun co -> ignore (Chaos.write_failures ~dir co.Chaos.o_failures))
+          o.Job.o_chaos;
+        (match spec with
+        | Job.Explore { protocol; _ } ->
+            ignore (Explorer.write_counterexamples ~dir ~protocol o.Job.o_ces)
+        | _ -> ());
+        []
+      with Sys_error e -> [ "artifact write failed: " ^ e ])
+
+(* One attempt, on the executor domain.  It reads only the record's
+   immutable fields and the stop request; everything else it does by
+   posting to the loop.  The campaign engine polls [stop] between job
+   submissions. *)
+let run_attempt t r stop_req =
   let spec = Option.get r.spec in
-  t.cfg.log
-    (Printf.sprintf "job %d attempt %d: %s" r.id r.attempt (Job.summary spec));
-  let started = Unix.gettimeofday () in
-  let deadline =
-    if r.deadline_s > 0. then Some (started +. r.deadline_s) else None
-  in
-  let stop_reason = ref `Running in
+  let deadline = Unix.gettimeofday () +. r.deadline_s in
+  let stopped_by = ref None in
   let stop () =
-    Mutex.lock t.m;
-    let reason =
-      if t.shutdown then Some `Shutdown
-      else if r.cancel_req then Some `Cancel
-      else if r.ever_watched && (not r.resumed) && r.watchers = [] then
-        Some `Orphaned
-      else
-        match deadline with
-        | Some d when Unix.gettimeofday () > d -> Some `Deadline
-        | _ -> None
-    in
-    Mutex.unlock t.m;
-    match reason with
-    | Some why ->
-        stop_reason := why;
-        true
-    | None -> false
-  in
-  let snapshot_watchers () =
-    Mutex.lock t.m;
-    let ws = r.watchers in
-    Mutex.unlock t.m;
-    ws
+    (if !stopped_by = None then
+       stopped_by :=
+         match Atomic.get stop_req with
+         | None when r.deadline_s > 0. && Unix.gettimeofday () > deadline ->
+             Some Stop_deadline
+         | why -> why);
+    !stopped_by <> None
   in
   let on_progress (p : Runner.progress) =
-    let frame =
-      Json.Obj
+    let f =
+      frame "progress"
         [
-          ("type", Json.String "progress");
           ("id", Json.Int r.id);
           ("done", Json.Int p.Runner.pr_done);
           ("total", Json.Int p.Runner.pr_total);
@@ -622,384 +566,349 @@ let execute_record t r =
           ("ok", Json.Bool p.Runner.pr_result.Runner.r_ok);
         ]
     in
-    List.iter (fun cl -> send_client cl frame) (snapshot_watchers ())
+    post t (fun () -> broadcast r f)
   in
-  (* Always attached: the ticker keeps the record's freshness stamp for
-     [status] even when nobody listens; the frame itself is gated on
-     each watcher's subscription. *)
-  let on_telemetry (te : Runner.telemetry) =
-    r.last_telemetry_s <- Unix.gettimeofday ();
-    let frame = lazy (telemetry_frame r.id te) in
-    List.iter
-      (fun cl -> if cl.subscribed then send_client cl (Lazy.force frame))
-      (snapshot_watchers ())
+  (* Always attached: snapshots keep the record's freshness stamp for
+     [status] even when nobody listens. *)
+  let on_telemetry te =
+    post t (fun () ->
+        r.last_telemetry_s <- Unix.gettimeofday ();
+        let f = lazy (telemetry_frame r.id te) in
+        List.iter
+          (fun cl -> if cl.subscribed then send_client cl (Lazy.force f))
+          r.watchers)
   in
-  match
-    Job.execute ?jobs:t.cfg.jobs ?cache:t.cache ~on_progress ~on_telemetry
-      ~stop spec
-  with
-  | exception exn ->
-      conclude_failure t r ("raised: " ^ Printexc.to_string exn)
-  | o ->
-      if o.Job.o_campaign.Runner.c_cancelled then
-        match !stop_reason with
-        | `Deadline ->
-            conclude_failure t r
-              (Printf.sprintf "deadline exceeded (%.3gs)" r.deadline_s)
-        | `Shutdown ->
-            (* No terminal journal entry: the job stays pending, so the
-               next daemon start re-enqueues it (its finished prefix is
-               already in the cache). *)
-            Mutex.lock t.m;
-            clear_running t r;
-            r.rstate <- Queued;
-            r.phase <- "interrupted by shutdown";
-            Mutex.unlock t.m
-        | `Cancel | `Orphaned | `Running -> finalize t r o Cancelled
-      else finalize t r o Done
+  let conclude =
+    match
+      Job.execute ?jobs:t.cfg.jobs ?cache:t.cache ~on_progress ~on_telemetry
+        ~stop spec
+    with
+    | exception exn ->
+        let note = "raised: " ^ Printexc.to_string exn in
+        fun () -> conclude_failure t r note
+    | o -> (
+        let finished st =
+          let errors = write_artifacts t.cfg.out_dir spec o in
+          fun () -> finalize t r st o errors
+        in
+        match !stopped_by with
+        | _ when not o.Job.o_campaign.Runner.c_cancelled -> finished Done
+        | Some Stop_deadline ->
+            fun () ->
+              conclude_failure t r
+                (Printf.sprintf "deadline exceeded (%.3gs)" r.deadline_s)
+        | Some Stop_shutdown ->
+            (* No terminal journal entry: the next start resumes it. *)
+            fun () ->
+              r.rstate <- Queued;
+              r.phase <- "interrupted by shutdown"
+        | Some Stop_cancel | None -> finished Cancelled)
+  in
+  post t (fun () ->
+      (* Posting this is the executor's last act, so the join is prompt;
+         the slot is free before any done frame goes out. *)
+      Option.iter (fun a -> Domain.join a.a_dom) t.running;
+      t.running <- None;
+      conclude ())
 
-(* The executor domain: drain the FIFO, skipping entries still inside
-   their backoff window.  Polling (rather than a condvar) keeps the
-   wakeup logic trivially correct across backoff releases, and 20ms of
-   latency is noise next to a campaign. *)
-let executor_loop t =
-  let rec loop () =
-    Mutex.lock t.m;
-    if t.shutdown then Mutex.unlock t.m
-    else begin
-      let tnow = Unix.gettimeofday () in
-      match List.find_opt (fun r -> r.not_before <= tnow) t.queue with
-      | None ->
-          Mutex.unlock t.m;
-          Unix.sleepf 0.02;
-          loop ()
-      | Some r ->
-          dequeue t r;
-          t.running <- Some r;
-          r.rstate <- Running;
-          r.phase <- "running";
-          jlog t (Recovery.state_entry ~id:r.id ~attempt:r.attempt "running");
-          Mutex.unlock t.m;
-          execute_record t r;
-          Mutex.lock t.m;
-          t.running <- None;
-          Mutex.unlock t.m;
-          loop ()
-    end
-  in
-  loop ()
+(* Hand the first record past its backoff gate to a fresh executor. *)
+let start_next t =
+  let now = Unix.gettimeofday () in
+  match List.find_opt (fun r -> r.not_before <= now) t.queue with
+  | Some r when t.running = None && not t.shutdown -> (
+      dequeue t r;
+      r.rstate <- Running;
+      r.phase <- "running";
+      jlog t (Recovery.state_entry ~id:r.id ~attempt:r.attempt "running");
+      t.cfg.log
+        (Printf.sprintf "job %d attempt %d: %s" r.id r.attempt
+           (Job.summary (Option.get r.spec)));
+      let a_stop = Atomic.make None in
+      match Domain.spawn (fun () -> run_attempt t r a_stop) with
+      | a_dom -> t.running <- Some { a_rec = r; a_stop; a_dom }
+      | exception exn ->
+          (* The domain budget is shared with the engine's workers. *)
+          conclude_failure t r ("cannot spawn executor: " ^ Printexc.to_string exn))
+  | _ -> ()
 
-(* ---- ops (reader domains) ---- *)
+let drain_mailbox t =
+  (* Extra wake-up bytes only cost a spurious turn. *)
+  (try ignore (Unix.read t.wake_r (Bytes.create 4096) 0 4096)
+   with Unix.Unix_error _ -> ());
+  let work = Queue.create () in
+  Mutex.lock t.mb_lock;
+  Queue.transfer t.mb_work work;
+  Mutex.unlock t.mb_lock;
+  Queue.iter (fun f -> f ()) work
+
+(* ---- ops ---- *)
 
 let status_frame t =
-  (* Call with [t.m] held. *)
-  Json.Obj
+  let int n = Json.Int n in
+  frame "status"
     [
-      ("type", Json.String "status");
-      ("queue_depth", Json.Int (queue_depth t));
+      ("queue_depth", int (List.length t.queue + if t.running = None then 0 else 1));
       ( "running",
-        match t.running with None -> Json.Null | Some r -> Json.Int r.id );
+        match t.running with None -> Json.Null | Some a -> Json.Int a.a_rec.id );
       ("jobs", Json.List (List.rev_map record_json t.history));
       ( "counters",
         Json.Obj
-          [
-            ("jobs_retried", Json.Int t.jobs_retried);
-            ("jobs_poisoned", Json.Int t.jobs_poisoned);
-          ] );
+          [ ("jobs_retried", int t.jobs_retried); ("jobs_poisoned", int t.jobs_poisoned) ]
+      );
       ( "cache",
         match t.cache with
         | None -> Json.Null
-        | Some cache ->
+        | Some c ->
             Json.Obj
               [
-                ("dir", Json.String (Runner.Cache.dir cache));
-                ("hits", Json.Int (Runner.Cache.hits cache));
-                ("misses", Json.Int (Runner.Cache.misses cache));
-                ("stores", Json.Int (Runner.Cache.stores cache));
-                ("corrupt", Json.Int (Runner.Cache.corrupt cache));
-                ("write_failed", Json.Int (Runner.Cache.write_failed cache));
+                ("dir", Json.String (Runner.Cache.dir c));
+                ("hits", int (Runner.Cache.hits c));
+                ("misses", int (Runner.Cache.misses c));
+                ("stores", int (Runner.Cache.stores c));
+                ("corrupt", int (Runner.Cache.corrupt c));
+                ("write_failed", int (Runner.Cache.write_failed c));
               ] );
     ]
 
-let handle_submit t cl v =
-  match Json.member "spec" v with
-  | None -> send_client cl (error_frame "submit: missing \"spec\"")
-  | Some sj -> (
-      match Job.of_json sj with
-      | Error e -> send_client cl (error_frame ("submit: " ^ e))
-      | Ok spec -> (
-          match Job.validate spec with
-          | Error errs ->
-              Mutex.lock t.m;
-              let r = fresh_record t (Some spec) in
-              r.rstate <- Rejected;
-              r.phase <- "rejected";
-              r.exit_code <- 3;
-              r.errors <- errs;
-              let ack =
-                Json.Obj
-                  [
-                    ("type", Json.String "ack");
-                    ("id", Json.Int r.id);
-                    ("accepted", Json.Bool false);
-                    ("errors", Json.List (List.map (fun e -> Json.String e) errs));
-                  ]
-              in
-              Mutex.unlock t.m;
-              send_client cl ack
-          | Ok () -> (
-              let deadline_s =
-                match Recovery.float_member "deadline_s" v with
-                | Some d when d > 0. -> d
-                | _ -> t.cfg.default_deadline_s
-              in
-              let canonical = Job.canonical spec in
-              Mutex.lock t.m;
-              (* Dedup: a spec already queued or running gains a watcher
-                 instead of a duplicate execution. *)
-              match
-                List.find_opt
-                  (fun r -> (not (is_terminal r.rstate)) && r.canonical = canonical)
-                  t.history
-              with
-              | Some r ->
-                  if not (List.memq cl r.watchers) then
-                    r.watchers <- r.watchers @ [ cl ];
-                  r.ever_watched <- true;
-                  cl.cl_last_submit <- r.id;
-                  (* Ack enqueued under [t.m] (never blocks): the
-                     executor dequeues under the same lock, so the ack
-                     precedes any done frame in this client's FIFO. *)
-                  send_client cl
-                    (Json.Obj
-                       [
-                         ("type", Json.String "ack");
-                         ("id", Json.Int r.id);
-                         ("accepted", Json.Bool true);
-                         ("attached", Json.Bool true);
-                         ("state", Json.String (state_to_string r.rstate));
-                         ("summary", Json.String (Job.summary spec));
-                       ]);
-                  Mutex.unlock t.m
-              | None ->
-                  if List.length t.queue >= t.cfg.queue_depth then begin
-                    (* Graceful shedding: an explicit rejection frame,
-                       no record, no hang. *)
-                    send_client cl
-                      (Json.Obj
-                         [
-                           ("type", Json.String "ack");
-                           ("id", Json.Int 0);
-                           ("accepted", Json.Bool false);
-                           ("rejected", Json.String "queue full");
-                           ( "errors",
-                             Json.List
-                               [
-                                 Json.String
-                                   (Printf.sprintf
-                                      "rejected: queue full (depth %d)"
-                                      t.cfg.queue_depth);
-                               ] );
-                         ]);
-                    Mutex.unlock t.m
-                  end
-                  else begin
-                    let r = fresh_record ~deadline_s t (Some spec) in
-                    r.watchers <- [ cl ];
-                    r.ever_watched <- true;
-                    cl.cl_last_submit <- r.id;
-                    t.queue <- t.queue @ [ r ];
-                    jlog t (Recovery.accepted_entry ~id:r.id ~deadline_s spec);
-                    send_client cl
-                      (Json.Obj
-                         [
-                           ("type", Json.String "ack");
-                           ("id", Json.Int r.id);
-                           ("accepted", Json.Bool true);
-                           ("position", Json.Int (List.length t.queue));
-                           ("summary", Json.String (Job.summary spec));
-                         ]);
-                    Mutex.unlock t.m
-                  end)))
+let watch cl r =
+  if not (List.memq cl r.watchers) then r.watchers <- r.watchers @ [ cl ];
+  cl.cl_last_submit <- r.id
 
-(* Cancel a queued record.  Call with [t.m] held; returns the frames to
-   send after unlock. *)
+(* The journal line is fsync'd before the ack is queued. *)
+let submit t cl v spec =
+  let summary = ("summary", Json.String (Job.summary spec)) in
+  let canonical = Job.canonical spec in
+  match Job.validate spec with
+  | Error errs ->
+      let r = fresh_record t (Some spec) in
+      r.rstate <- Rejected;
+      r.phase <- "rejected";
+      r.exit_code <- 3;
+      r.errors <- errs;
+      send_client cl
+        (frame "ack"
+           [
+             ("id", Json.Int r.id);
+             ("accepted", Json.Bool false);
+             ("errors", strings errs);
+           ])
+  | Ok () -> (
+      (* Dedup: a spec already queued or running gains a watcher instead
+         of a duplicate execution. *)
+      match
+        List.find_opt
+          (fun r -> (not (is_terminal r.rstate)) && r.canonical = canonical)
+          t.history
+      with
+      | Some r ->
+          watch cl r;
+          send_client cl
+            (frame "ack"
+               [
+                 ("id", Json.Int r.id);
+                 ("accepted", Json.Bool true);
+                 ("attached", Json.Bool true);
+                 ("state", Json.String (state_to_string r.rstate));
+                 summary;
+               ])
+      | None when List.length t.queue >= t.cfg.queue_depth ->
+          (* Graceful shedding: an explicit rejection, no record. *)
+          send_client cl
+            (frame "ack"
+               [
+                 ("id", Json.Int 0);
+                 ("accepted", Json.Bool false);
+                 ("rejected", Json.String "queue full");
+                 ( "errors",
+                   strings
+                     [
+                       Printf.sprintf "rejected: queue full (depth %d)"
+                         t.cfg.queue_depth;
+                     ] );
+               ])
+      | None ->
+          let deadline_s =
+            match Recovery.float_member "deadline_s" v with
+            | Some d when d > 0. -> d
+            | _ -> t.cfg.default_deadline_s
+          in
+          let r = fresh_record ~deadline_s t (Some spec) in
+          watch cl r;
+          t.queue <- t.queue @ [ r ];
+          jlog t (Recovery.accepted_entry ~id:r.id ~deadline_s spec);
+          send_client cl
+            (frame "ack"
+               [
+                 ("id", Json.Int r.id);
+                 ("accepted", Json.Bool true);
+                 ("position", Json.Int (List.length t.queue));
+                 summary;
+               ]))
+
 let cancel_queued t r =
   dequeue t r;
   r.rstate <- Cancelled;
   r.phase <- "cancelled while queued";
   r.exit_code <- 4;
   jlog t
-    (Recovery.state_entry ~id:r.id ~attempt:r.attempt
-       ~extra:[ ("exit", Json.Int 4) ]
+    (Recovery.state_entry ~id:r.id ~attempt:r.attempt ~extra:[ ("exit", Json.Int 4) ]
        "cancelled");
-  let frame = done_frame r ~jobs:0 ~failed:0 ~cancelled:true ~wall:0. ~extra:[] in
-  List.map (fun cl -> (cl, frame)) (watchers_of r)
+  broadcast r (done_frame r ~jobs:0 ~failed:0 ~cancelled:true ~wall:0.)
 
-let handle_cancel t cl v =
-  Mutex.lock t.m;
+let cancel t cl v =
+  let live id =
+    List.find_opt (fun r -> r.id = id && not (is_terminal r.rstate)) t.history
+  in
   let target =
     match Recovery.int_member "id" v with
-    | Some id ->
-        List.find_opt (fun r -> r.id = id && not (is_terminal r.rstate)) t.history
+    | Some id -> live id
     | None -> (
-        match
-          List.find_opt
-            (fun r -> r.id = cl.cl_last_submit && not (is_terminal r.rstate))
-            t.history
-        with
-        | Some r -> Some r
-        | None -> (
-            (* Fall back to the running job only when this connection
-               watches it: a bare cancel from an unrelated client must
-               not kill someone else's job. *)
-            match t.running with
-            | Some r when List.memq cl r.watchers -> Some r
-            | _ -> None))
+        match (live cl.cl_last_submit, t.running) with
+        | Some r, _ -> Some r
+        (* The running job only when this connection watches it: a bare
+           cancel from an unrelated client must not kill someone else's
+           job. *)
+        | None, Some a when List.memq cl a.a_rec.watchers -> Some a.a_rec
+        | None, _ -> None)
   in
   match target with
-  | None ->
-      Mutex.unlock t.m;
-      send_client cl (error_frame "cancel: no cancellable job for this connection")
-  | Some r when r.rstate = Queued ->
-      let outbox = cancel_queued t r in
-      Mutex.unlock t.m;
-      List.iter (fun (cl, frame) -> send_client cl frame) outbox
-  | Some r ->
-      (* Running: consumed by the stop hook at the next job boundary;
-         in-flight jobs finish and completed work is kept (and cached). *)
-      r.cancel_req <- true;
-      Mutex.unlock t.m
+  | None -> send_client cl (error_frame "cancel: no cancellable job for this connection")
+  | Some r when r.rstate = Queued -> cancel_queued t r
+  | Some _ ->
+      (* Running: in-flight jobs finish and completed work is kept (and
+         cached). *)
+      request_stop t Stop_cancel
 
 let handle_frame t cl v =
+  let subscription on =
+    cl.subscribed <- on;
+    send_client cl (frame (if on then "subscribed" else "unsubscribed") [])
+  in
   match Json.member "op" v with
-  | Some (Json.String "ping") ->
-      send_client cl (Json.Obj [ ("type", Json.String "pong") ])
-  | Some (Json.String "status") ->
-      Mutex.lock t.m;
-      let frame = status_frame t in
-      Mutex.unlock t.m;
-      send_client cl frame
-  | Some (Json.String "subscribe") ->
-      cl.subscribed <- true;
-      send_client cl (subscription_frame cl)
-  | Some (Json.String "unsubscribe") ->
-      cl.subscribed <- false;
-      send_client cl (subscription_frame cl)
+  | Some (Json.String "ping") -> send_client cl (frame "pong" [])
+  | Some (Json.String "status") -> send_client cl (status_frame t)
+  | Some (Json.String "subscribe") -> subscription true
+  | Some (Json.String "unsubscribe") -> subscription false
   | Some (Json.String "shutdown") ->
-      Mutex.lock t.m;
       t.shutdown <- true;
-      Mutex.unlock t.m;
-      send_client cl (Json.Obj [ ("type", Json.String "bye") ])
-  | Some (Json.String "cancel") -> handle_cancel t cl v
-  | Some (Json.String "submit") -> handle_submit t cl v
+      request_stop t Stop_shutdown;
+      send_client cl (frame "bye" [])
+  | Some (Json.String "cancel") -> cancel t cl v
+  | Some (Json.String "submit") -> (
+      match Option.map Job.of_json (Json.member "spec" v) with
+      | None -> send_client cl (error_frame "submit: missing \"spec\"")
+      | Some (Error e) -> send_client cl (error_frame ("submit: " ^ e))
+      | Some (Ok spec) -> submit t cl v spec)
   | Some (Json.String op) -> send_client cl (error_frame ("unknown op " ^ op))
   | _ -> send_client cl (error_frame "frame has no \"op\"")
 
-(* A client hung up: detach it everywhere; a job whose every watcher is
-   gone (and that was not resumed from the journal, which starts with
-   none) is orphaned — cancelled if queued, stop-hooked if running. *)
+(* A dead client leaves: detach it everywhere; a job whose every
+   watcher is gone (and that was not resumed from the journal, which
+   starts with none) is orphaned — cancelled if queued, stopped if
+   running. *)
 let drop_client t cl =
-  Mutex.lock t.m;
-  let orphaned = ref [] in
+  t.clients <- List.filter (fun c -> c != cl) t.clients;
+  (try Unix.close cl.cl_fd with Unix.Unix_error _ -> ());
   List.iter
     (fun r ->
       if List.memq cl r.watchers then begin
         r.watchers <- List.filter (fun c -> c != cl) r.watchers;
-        if
-          r.watchers = [] && r.ever_watched && (not r.resumed)
-          && not (is_terminal r.rstate)
-        then orphaned := r :: !orphaned
+        if r.watchers = [] && not r.resumed then
+          match r.rstate with
+          | Queued -> cancel_queued t r
+          | Running -> request_stop t Stop_cancel
+          | Done | Cancelled | Rejected | Poisoned -> ()
       end)
-    t.history;
-  let outbox =
-    List.concat_map
-      (fun r ->
-        match r.rstate with
-        | Queued -> cancel_queued t r
-        | Running ->
-            r.cancel_req <- true;
-            []
-        | _ -> [])
-      !orphaned
-  in
-  Mutex.unlock t.m;
-  List.iter (fun (cl, frame) -> send_client cl frame) outbox
+    t.history
 
-(* One reader domain per connection: decode frames as they arrive and
-   handle ops promptly — cancel and subscription toggles work mid-run
-   without waiting for a job boundary. *)
-let reader t fd =
-  (try Unix.set_nonblock fd with Unix.Unix_error _ -> ());
-  let cl =
-    {
-      cl_fd = fd;
-      cl_dec = Json.Stream.decoder ();
-      cl_wmutex = Mutex.create ();
-      cl_outq = Queue.create ();
-      cl_out_pos = 0;
-      cl_out_bytes = 0;
-      cl_dead = false;
-      subscribed = false;
-      cl_last_submit = 0;
-    }
-  in
-  let buf = Bytes.create 4096 in
-  let rec drain () =
-    match Json.Stream.next cl.cl_dec with
-    | `Value v ->
-        handle_frame t cl v;
-        drain ()
-    | `Error e ->
-        send_client cl (error_frame (Json.error_to_string e));
-        drain ()
-    | `Await -> ()
-  in
-  let outbound_state () =
-    Mutex.lock cl.cl_wmutex;
-    let st = if cl.cl_dead then `Dead else if cl.cl_out_bytes > 0 then `Pending else `Idle in
-    Mutex.unlock cl.cl_wmutex;
-    st
-  in
-  let flush_now () =
-    Mutex.lock cl.cl_wmutex;
-    flush_outbound cl;
-    Mutex.unlock cl.cl_wmutex
-  in
-  let rec loop () =
-    match outbound_state () with
-    | `Dead -> ()
-    | (`Pending | `Idle) as st ->
-        if t.shutdown then ()
-        else begin
-          (* Select for read always, for write only while frames are
-             pending — the executor enqueues from its own domain and
-             this loop drains whatever the socket will take. *)
-          match
-            Unix.select [ fd ] (if st = `Pending then [ fd ] else []) [] 0.25
-          with
-          | exception Unix.Unix_error (EINTR, _, _) -> loop ()
-          | rd, wr, _ -> (
-              if wr <> [] then flush_now ();
-              if rd = [] then loop ()
-              else
-                match Unix.read fd buf 0 (Bytes.length buf) with
-                | 0 -> ()
-                | len ->
-                    Json.Stream.feed cl.cl_dec (Bytes.sub_string buf 0 len);
-                    drain ();
-                    loop ()
-                | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-                    loop ()
-                | exception Unix.Unix_error _ -> ())
-        end
-  in
-  (try loop () with Sys_error _ -> ());
-  (* Best-effort final drain: the [bye] frame a shutdown op just
-     enqueued, or whatever the socket still accepts. *)
-  flush_now ();
-  drop_client t cl;
-  try Unix.close fd with Unix.Unix_error _ -> ()
+(* ---- the select loop ---- *)
+
+let read_client t cl buf =
+  match Unix.read cl.cl_fd buf 0 (Bytes.length buf) with
+  | 0 ->
+      (* Hang-up: best-effort delivery of what is still queued. *)
+      flush_outbound cl;
+      cl.cl_dead <- true
+  | len ->
+      Json.Stream.feed cl.cl_dec (Bytes.sub_string buf 0 len);
+      let rec drain () =
+        if not cl.cl_dead then
+          match Json.Stream.next cl.cl_dec with
+          | `Value v ->
+              handle_frame t cl v;
+              drain ()
+          | `Error e ->
+              send_client cl (error_frame (Json.error_to_string e));
+              drain ()
+          | `Await -> ()
+      in
+      drain ()
+  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+  | exception Unix.Unix_error _ -> cl.cl_dead <- true
+
+(* A connection past the cap gets one error frame and is dropped at the
+   end of the turn. *)
+let accept_client t sock =
+  match Unix.accept ~cloexec:true sock with
+  | exception Unix.Unix_error _ -> ()
+  | fd, _ ->
+      Unix.set_nonblock fd;
+      let cl =
+        {
+          cl_fd = fd;
+          cl_dec = Json.Stream.decoder ();
+          cl_outq = Queue.create ();
+          cl_out_pos = 0;
+          cl_out_bytes = 0;
+          cl_dead = false;
+          subscribed = false;
+          cl_last_submit = 0;
+        }
+      in
+      if List.length t.clients >= max_clients then begin
+        send_client cl
+          (error_frame
+             (Printf.sprintf "server busy: %d connections already open" max_clients));
+        cl.cl_dead <- true
+      end;
+      t.clients <- cl :: t.clients
+
+(* Block until a socket or the mailbox needs attention or, with the
+   executor idle, until the earliest backoff gate opens. *)
+let select_timeout t =
+  match (t.running, t.queue) with
+  | None, _ :: _ ->
+      let gate = List.fold_left (fun m r -> Float.min m r.not_before) infinity t.queue in
+      Float.max 0. (gate -. Unix.gettimeofday ())
+  | _ -> -1.
+
+let rec reap t =
+  match List.find_opt (fun cl -> cl.cl_dead) t.clients with
+  | Some cl ->
+      drop_client t cl;
+      reap t
+  | None -> ()
+
+let rec serve_loop t sock buf =
+  if not t.shutdown then begin
+    let clients = t.clients in
+    let fds cls = List.map (fun cl -> cl.cl_fd) cls in
+    let pending = List.filter (fun cl -> cl.cl_out_bytes > 0) clients in
+    let reads = sock :: t.wake_r :: fds clients in
+    (match Unix.select reads (fds pending) [] (select_timeout t) with
+    | exception Unix.Unix_error (EINTR, _, _) -> ()
+    | readable, writable, _ ->
+        if List.mem t.wake_r readable then drain_mailbox t;
+        List.iter
+          (fun cl ->
+            if (not cl.cl_dead) && List.mem cl.cl_fd writable then flush_outbound cl;
+            if (not cl.cl_dead) && List.mem cl.cl_fd readable then read_client t cl buf)
+          clients;
+        if List.mem sock readable then accept_client t sock);
+    reap t;
+    start_next t;
+    serve_loop t sock buf
+  end
 
 (* ---- startup: recovery, stale socket, bind ---- *)
 
@@ -1018,7 +927,7 @@ let rec mkdir_p dir =
    lock dies with the process, so kill -9 never leaves a stale one. *)
 let acquire_daemon_lock out_dir =
   let path = Filename.concat out_dir "serve.lock" in
-  let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
+  let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_CLOEXEC ] 0o644 in
   match Unix.lockf fd Unix.F_TLOCK 0 with
   | () -> fd
   | exception Unix.Unix_error _ ->
@@ -1047,10 +956,56 @@ let probe_stale_socket path log =
 
 let bind_socket path =
   mkdir_p (Filename.dirname path);
-  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let sock = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind sock (Unix.ADDR_UNIX path);
   Unix.listen sock 8;
+  Unix.set_nonblock sock;
   sock
+
+(* Rebuild what a previous daemon left in the journal, oldest first:
+   completed jobs come back as history; interrupted ones are re-enqueued
+   (resume) or closed out as cancelled (--no-resume). *)
+let restore config (rc : Recovery.t) =
+  List.map
+    (fun (f : Recovery.completed) ->
+      let r = make_record ~id:f.f_id (Some f.f_spec) in
+      r.rstate <- f.f_state;
+      r.phase <- "finished";
+      r.exit_code <- f.f_exit;
+      r.signature <- f.f_signature;
+      r)
+    rc.completed
+  @ List.map
+      (fun (p : Recovery.pending) ->
+        let r =
+          make_record ~deadline_s:p.p_deadline_s ~resumed:true ~id:p.p_id (Some p.p_spec)
+        in
+        if config.resume then begin
+          r.phase <- "requeued after restart";
+          config.log (Printf.sprintf "recovered job %d: %s" r.id (Job.summary p.p_spec))
+        end
+        else begin
+          r.rstate <- Cancelled;
+          r.phase <- "interrupted (restart without resume)";
+          r.exit_code <- 4;
+          r.errors <- [ "interrupted by daemon restart; resume disabled" ]
+        end;
+        r)
+      rc.pending
+
+(* The compacted journal holds one accepted + one terminal line per job
+   (pending jobs keep just their accepted line), so it stays
+   proportional to the history rather than to the daemon's lifetime. *)
+let compacted r =
+  Recovery.accepted_entry ~id:r.id ~deadline_s:r.deadline_s (Option.get r.spec)
+  ::
+  (if not (is_terminal r.rstate) then []
+   else
+     [
+       Recovery.state_entry ~id:r.id
+         ~extra:[ ("exit", Json.Int r.exit_code); ("signature", Json.String r.signature) ]
+         (state_to_string r.rstate);
+     ])
 
 let serve ?(config = default_config) () =
   mkdir_p config.out_dir;
@@ -1069,51 +1024,26 @@ let serve ?(config = default_config) () =
     try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
     with Invalid_argument _ | Sys_error _ -> None
   in
-  let cache = Option.map (fun dir -> Runner.Cache.create ~dir ()) config.cache_dir in
   let jpath = journal_path config.out_dir in
   let recovered = Recovery.load jpath in
-  (* Compact before reopening: replayed history is rewritten as one
-     accepted + one terminal entry per job (pending jobs keep just their
-     accepted entry), so the journal stays proportional to the history
-     rather than to the daemon's lifetime. *)
-  (try
-     Journal.rewrite jpath
-       (List.concat_map
-          (fun (f : Recovery.completed) ->
-            [
-              Recovery.accepted_entry ~id:f.f_id f.f_spec;
-              Recovery.state_entry ~id:f.f_id
-                ~extra:
-                  [
-                    ("exit", Json.Int f.f_exit);
-                    ("signature", Json.String f.f_signature);
-                  ]
-                (state_to_string f.f_state);
-            ])
-          recovered.completed
-       @ List.concat_map
-           (fun (p : Recovery.pending) ->
-             Recovery.accepted_entry ~id:p.p_id ~deadline_s:p.p_deadline_s
-               p.p_spec
-             ::
-             (if config.resume then []
-              else
-                [
-                  Recovery.state_entry ~id:p.p_id
-                    ~extra:[ ("exit", Json.Int 4) ]
-                    "cancelled";
-                ]))
-           recovered.pending)
+  let records = restore config recovered in
+  (try Journal.rewrite jpath (List.concat_map compacted records)
    with Sys_error _ | Unix.Unix_error _ -> ());
-  let journal = Journal.append_open jpath in
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
   let t =
     {
       cfg = config;
-      cache;
-      m = Mutex.create ();
-      journal;
-      history = [];
-      queue = [];
+      cache = Option.map (fun dir -> Runner.Cache.create ~dir ()) config.cache_dir;
+      journal = Journal.append_open jpath;
+      mb_lock = Mutex.create ();
+      mb_work = Queue.create ();
+      wake_r;
+      wake_w;
+      clients = [];
+      history = List.rev records;
+      queue = List.filter (fun r -> r.rstate = Queued) records;
       running = None;
       next_id = recovered.next_id;
       shutdown = false;
@@ -1121,123 +1051,39 @@ let serve ?(config = default_config) () =
       jobs_poisoned = 0;
     }
   in
-  (* Replay: completed jobs come back as history; interrupted ones are
-     re-enqueued (resume) or closed out as cancelled (--no-resume). *)
-  List.iter
-    (fun (f : Recovery.completed) ->
-      let r =
-        {
-          (fresh_record t (Some f.f_spec)) with
-          id = f.f_id;
-          rstate = f.f_state;
-          phase = "finished";
-          exit_code = f.f_exit;
-          signature = f.f_signature;
-        }
-      in
-      t.history <- r :: List.tl t.history)
-    recovered.completed;
-  List.iter
-    (fun (p : Recovery.pending) ->
-      let r = fresh_record ~deadline_s:p.p_deadline_s ~resumed:true t (Some p.p_spec) in
-      let r = { r with id = p.p_id } in
-      t.history <- r :: List.tl t.history;
-      if config.resume then begin
-        r.phase <- "requeued after restart";
-        t.queue <- t.queue @ [ r ];
-        config.log
-          (Printf.sprintf "recovered job %d: %s" r.id (Job.summary p.p_spec))
-      end
-      else begin
-        r.rstate <- Cancelled;
-        r.phase <- "interrupted (restart without resume)";
-        r.exit_code <- 4;
-        r.errors <- [ "interrupted by daemon restart; resume disabled" ]
-      end)
-    recovered.pending;
-  t.next_id <- recovered.next_id;
   if recovered.dropped_lines > 0 || recovered.dropped_bytes > 0 then
     config.log
       (Printf.sprintf "journal: dropped %d garbage line(s), %d tail byte(s)"
          recovered.dropped_lines recovered.dropped_bytes);
-  if recovered.completed <> [] || recovered.pending <> [] then
+  if records <> [] then
     config.log
       (Printf.sprintf "journal: replayed %d completed, %d pending job(s)"
          (List.length recovered.completed)
          (List.length recovered.pending));
   let sock = bind_socket config.socket_path in
   config.log (Printf.sprintf "listening on %s" config.socket_path);
-  let executor = Domain.spawn (fun () -> executor_loop t) in
-  (* Reader domains are capped (OCaml 5 bounds live domains at ~128,
-     shared with the engine's worker domains) and reaped as they
-     finish, so neither a connection burst nor a long-lived daemon can
-     exhaust the domain budget or grow the handle list without bound. *)
-  let readers = ref [] in
-  let reap () =
-    readers :=
-      List.filter
-        (fun (dom, finished) ->
-          if Atomic.get finished then begin
-            Domain.join dom;
-            false
-          end
-          else true)
-        !readers
-  in
-  (* Over the cap, or Domain.spawn itself failed: shed this one
-     connection with a best-effort error line and keep serving. *)
-  let shed fd msg =
-    let line = Json.to_string ~minify:true (error_frame msg) ^ "\n" in
-    (try ignore (Unix.write_substring fd line 0 (String.length line))
-     with Unix.Unix_error _ | Sys_error _ -> ());
-    try Unix.close fd with Unix.Unix_error _ -> ()
-  in
-  (* Accept with a timeout so an idle daemon notices [shutdown] set by
-     a connection without requiring another client. *)
-  let rec accept_loop () =
-    if t.shutdown then ()
-    else begin
-      (match Unix.select [ sock ] [] [] 0.25 with
-      | exception Unix.Unix_error (EINTR, _, _) -> ()
-      | [], _, _ -> ()
-      | _ -> (
-          match Unix.accept sock with
-          | exception Unix.Unix_error _ -> ()
-          | fd, _ ->
-              reap ();
-              if List.length !readers >= max_reader_domains then
-                shed fd
-                  (Printf.sprintf "server busy: %d connections already open"
-                     max_reader_domains)
-              else begin
-                let finished = Atomic.make false in
-                match
-                  Domain.spawn (fun () ->
-                      Fun.protect
-                        ~finally:(fun () -> Atomic.set finished true)
-                        (fun () ->
-                          try reader t fd
-                          with _ -> (
-                            try Unix.close fd with Unix.Unix_error _ -> ())))
-                with
-                | dom -> readers := (dom, finished) :: !readers
-                | exception _ -> shed fd "server busy: cannot spawn handler"
-              end));
-      accept_loop ()
-    end
-  in
-  accept_loop ();
-  (try Unix.close sock with Unix.Unix_error _ -> ());
-  Domain.join executor;
-  List.iter (fun (dom, _) -> Domain.join dom) !readers;
-  Journal.close journal;
+  serve_loop t sock (Bytes.create 65536);
+  Unix.close sock;
+  (* Deliver what the sockets still take (the [bye] frame), then hang
+     up without detaching: queued jobs stay pending in the journal. *)
+  List.iter
+    (fun cl ->
+      flush_outbound cl;
+      cl.cl_dead <- true;
+      try Unix.close cl.cl_fd with Unix.Unix_error _ -> ())
+    t.clients;
+  (* The running attempt has seen the shutdown request; journal its
+     verdict. *)
+  Option.iter (fun a -> Domain.join a.a_dom) t.running;
+  t.running <- None;
+  drain_mailbox t;
+  List.iter Unix.close [ wake_r; wake_w; lock_fd ];
+  Journal.close t.journal;
   (try Unix.unlink config.socket_path with Unix.Unix_error _ | Sys_error _ -> ());
-  (try Unix.close lock_fd with Unix.Unix_error _ -> ());
-  (match previous_sigpipe with
-  | Some behavior -> (
-      try Sys.set_signal Sys.sigpipe behavior
-      with Invalid_argument _ | Sys_error _ -> ())
-  | None -> ());
+  Option.iter
+    (fun behavior ->
+      try Sys.set_signal Sys.sigpipe behavior with Invalid_argument _ | Sys_error _ -> ())
+    previous_sigpipe;
   config.log "shut down"
 
 (* ---- client ---- *)

@@ -66,19 +66,25 @@
     [<out_dir>/poison_job_<id>.json] and a ready-to-paste resubmission
     command recorded in the journal.
 
-    One reader domain per connection handles ops promptly (cancel and
-    subscription toggles work mid-run); one executor domain drains the
-    FIFO, so one job runs at a time — parallelism lives inside the
-    campaign engine (worker domains) and submissions never fight over
-    domains or artifact files.  Reader domains are capped (OCaml 5
-    bounds live domains; connections past the cap are refused with an
-    [error] frame instead of crashing the daemon), and outbound frames
-    are queued per client and written non-blocking — a client that
-    stops reading stalls only itself and is dropped once its backlog
-    tops out, never wedging the executor or other connections.  A
-    client hanging up orphans its jobs: a queued one is cancelled, a
-    running one stops at the next job boundary (journal-resumed jobs
-    have no watchers and are exempt). *)
+    {2 Concurrency}
+
+    One [Unix.select] loop on the calling domain owns the listening
+    socket, every connection and all daemon state, so ops (cancel,
+    subscription toggles, status) are handled promptly even while a job
+    runs.  Each job attempt runs on an executor domain that reports back
+    only through a mailbox (a queue plus a self-pipe byte); one
+    job runs at a time — parallelism lives inside the campaign engine
+    (worker domains), so submissions never fight over domains or
+    artifact files.  Because one thread queues every frame, a job's
+    [ack] precedes its progress and [done] frames, and a [status] sent
+    after [done] does not count the job as running.  Outbound frames
+    are queued per client and written non-blocking: a client that stops
+    reading stalls only itself and is dropped once its backlog passes
+    8 MiB.  Connections past the cap (256; [select] cannot watch
+    descriptors at or above [FD_SETSIZE]) get an [error] frame and are
+    closed.  A client hanging up orphans its jobs: a queued one is
+    cancelled, a running one stops at the next job boundary
+    (journal-resumed jobs have no watchers and are exempt). *)
 
 open Setagree_util
 

@@ -458,8 +458,10 @@ let reset_sink () =
   sink := [];
   Mutex.unlock sink_mutex
 
-let run ?jobs ?cache ?on_progress ?on_telemetry ?(telemetry_every_s = 0.25)
-    ?stop ~exp joblist =
+(* Seconds between live telemetry snapshots. *)
+let telemetry_period_s = 0.25
+
+let run ?jobs ?cache ?on_progress ?on_telemetry ?stop ~exp joblist =
   let workers = match jobs with Some j -> max 1 j | None -> default_jobs () in
   let jobs_a = Array.of_list joblist in
   let total = Array.length jobs_a in
@@ -588,23 +590,27 @@ let run ?jobs ?cache ?on_progress ?on_telemetry ?(telemetry_every_s = 0.25)
   in
   (* Periodic snapshots come from a dedicated ticker domain so a single
      long job still produces live frames; one final snapshot after the
-     joins guarantees every telemetried campaign emits at least once. *)
-  let ticker_stop = ref false in
+     joins guarantees every telemetried campaign emits at least once.
+     The ticker waits in [select] on a pipe, so the byte written at
+     campaign end wakes it at once: a short campaign is never held up by
+     the rest of a period. *)
+  let ticker_stop = Atomic.make false in
   let ticker =
     match on_telemetry with
     | None -> None
     | Some f ->
-        Some
-          (Domain.spawn (fun () ->
-               let period = Float.max 0.02 telemetry_every_s in
-               while not !ticker_stop do
-                 Unix.sleepf period;
-                 if not !ticker_stop then begin
-                   Mutex.lock emit_mutex;
-                   (try emit_telemetry f with _ -> ());
-                   Mutex.unlock emit_mutex
-                 end
-               done))
+        let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+        let rec tick () =
+          match Unix.select [ wake_r ] [] [] telemetry_period_s with
+          | exception Unix.Unix_error (EINTR, _, _) -> tick ()
+          | _ when Atomic.get ticker_stop -> ()
+          | _ ->
+              Mutex.lock emit_mutex;
+              (try emit_telemetry f with _ -> ());
+              Mutex.unlock emit_mutex;
+              tick ()
+        in
+        Some (Domain.spawn tick, wake_r, wake_w)
   in
   let executed = ref 0 in
   if workers <= 1 then
@@ -647,9 +653,12 @@ let run ?jobs ?cache ?on_progress ?on_telemetry ?(telemetry_every_s = 0.25)
     List.iter Domain.join domains
   end;
   (match (ticker, on_telemetry) with
-  | Some d, Some f ->
-      ticker_stop := true;
+  | Some (d, wake_r, wake_w), Some f ->
+      Atomic.set ticker_stop true;
+      ignore (Unix.write_substring wake_w "x" 0 1);
       Domain.join d;
+      Unix.close wake_r;
+      Unix.close wake_w;
       Mutex.lock emit_mutex;
       (try emit_telemetry f with _ -> ());
       Mutex.unlock emit_mutex

@@ -123,8 +123,9 @@ type progress = {
 (** {1 Live telemetry}
 
     Periodic snapshots of an in-flight campaign.  A dedicated ticker
-    domain samples the accumulators every [telemetry_every_s] (plus one
-    final snapshot after the last join, so short campaigns still emit),
+    domain samples the accumulators every 0.25 s (plus one final
+    snapshot after the last join, so short campaigns still emit; the
+    ticker wakes as soon as the campaign ends, so it never delays it),
     entirely on the read side: telemetry observes completed results and
     the {!Live} board, it never feeds anything back into a job — -j1 ≡
     -jN signatures and replay fingerprints are byte-identical with
@@ -239,7 +240,6 @@ val run :
   ?cache:Cache.t ->
   ?on_progress:(progress -> unit) ->
   ?on_telemetry:(telemetry -> unit) ->
-  ?telemetry_every_s:float ->
   ?stop:(unit -> bool) ->
   exp:string ->
   job list ->
@@ -264,8 +264,7 @@ val run :
     submitted, still in canonical order.
 
     With [on_telemetry], a ticker domain delivers a {!telemetry}
-    snapshot every [telemetry_every_s] (default 0.25, clamped to
-    >= 0.02) plus one final snapshot, serialized under the same lock as
+    snapshot every 0.25 s plus one final snapshot, serialized under the same lock as
     [on_progress]; the {!Live} board is enabled for the campaign's
     duration.  Telemetry is read-only — results, signatures and replay
     fingerprints are byte-identical with it on or off. *)

@@ -956,7 +956,160 @@ let test_daemon_deadline_retry_poison () =
   Domain.join d;
   rm_rf dir
 
+(* ------------------------------------------------------------------ *)
+(* Hardening: slow consumers, the connection cap, a second daemon      *)
+(* ------------------------------------------------------------------ *)
+
+(* A client that floods [status] ops and never reads a reply is shed
+   once its unread backlog passes the daemon's outbound cap (8 MiB); all
+   the while another connection's ping is answered promptly. *)
+let test_daemon_slow_consumer_shed () =
+  let dir = tmpdir "flood" in
+  let config = daemon_config dir ~cache:false in
+  let d = start_daemon config in
+  let conn = connect config in
+  let flood = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect flood (Unix.ADDR_UNIX config.Serve.socket_path);
+  (* A daemon that stopped reading would block the flood forever. *)
+  Unix.setsockopt_float flood Unix.SO_SNDTIMEO 10.;
+  let chunk =
+    String.concat "" (List.init 1024 (fun _ -> "{\"op\":\"status\"}\n"))
+  in
+  let rec pump sent =
+    if sent > 64 * 1024 * 1024 then Alcotest.fail "flooding client never shed";
+    match Unix.write_substring flood chunk 0 (String.length chunk) with
+    | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> ()
+    | n ->
+        let t0 = Unix.gettimeofday () in
+        check "pong while another client floods" true
+          (frame_type (expect (Serve.Client.ping conn)) = "pong");
+        check "ping answered promptly" true (Unix.gettimeofday () -. t0 < 2.0);
+        pump (sent + n)
+  in
+  pump 0;
+  Unix.close flood;
+  check "daemon still serves after the shed" true
+    (frame_type (expect (Serve.Client.status conn)) = "status");
+  ignore (expect (Serve.Client.shutdown conn));
+  Serve.Client.close conn;
+  Domain.join d;
+  rm_rf dir
+
+(* Connections beyond the daemon's cap get an [error] frame instead of
+   a session; the connections already open keep being served, and a
+   slot freed by a hang-up is reusable. *)
+let test_daemon_connection_cap () =
+  let dir = tmpdir "cap" in
+  let config = daemon_config dir ~cache:false in
+  let d = start_daemon config in
+  (* A refused connection may already be closed when the ping goes out;
+     its error frame is still waiting in the receive buffer. *)
+  let hello c =
+    match Serve.Client.ping c with
+    | Ok v -> frame_type v
+    | Error _ -> (
+        match Serve.Client.next_frame c with Ok v -> frame_type v | Error _ -> "?")
+  in
+  let rec open_until_refused kept =
+    if List.length kept > 1000 then Alcotest.fail "no connection cap";
+    let c = connect config in
+    match hello c with
+    | "pong" -> open_until_refused (c :: kept)
+    | "error" ->
+        Serve.Client.close c;
+        kept
+    | other -> Alcotest.fail ("unexpected first frame " ^ other)
+  in
+  let kept = open_until_refused [] in
+  check "some connections admitted" true (kept <> []);
+  List.iter
+    (fun c ->
+      check "admitted connection still served" true
+        (frame_type (expect (Serve.Client.ping c)) = "pong"))
+    kept;
+  let last = List.hd kept and kept = List.tl kept in
+  Serve.Client.close last;
+  let rec reuse n =
+    if n = 0 then Alcotest.fail "freed slot never reusable";
+    let c = connect config in
+    if hello c = "pong" then c
+    else begin
+      Serve.Client.close c;
+      Unix.sleepf 0.02;
+      reuse (n - 1)
+    end
+  in
+  let c = reuse 200 in
+  ignore (expect (Serve.Client.shutdown c));
+  Serve.Client.close c;
+  List.iter Serve.Client.close kept;
+  Domain.join d;
+  rm_rf dir
+
+(* The daemon lock is an fcntl lock, which is per process: the second
+   daemon has to be another process.  [test_job.exe second-daemon DIR
+   SOCKET] runs [Serve.serve] on DIR and exits 3 if it raises
+   [Failure]. *)
+let second_daemon_main out_dir socket_path =
+  let config =
+    { Serve.default_config with out_dir; socket_path; cache_dir = None }
+  in
+  match Serve.serve ~config () with
+  | () -> exit 0
+  | exception Failure _ -> exit 3
+
+(* A second daemon on the same out_dir (on another socket, so only the
+   lock can stop it) must refuse to start without touching the
+   incumbent's journal: same inode, same bytes, and the incumbent keeps
+   appending to it. *)
+let test_daemon_second_start_refused () =
+  let dir = tmpdir "second" in
+  let config = daemon_config dir ~cache:false in
+  let d = start_daemon config in
+  let conn = connect config in
+  ignore (expect (Serve.Client.submit conn small_spec));
+  let jpath = Serve.journal_path dir in
+  let snapshot () =
+    ((Unix.stat jpath).Unix.st_ino, In_channel.with_open_bin jpath In_channel.input_all)
+  in
+  let ino, bytes = snapshot () in
+  let other_sock = Filename.concat dir "second.sock" in
+  let pid =
+    Unix.create_process Sys.executable_name
+      [| Sys.executable_name; "second-daemon"; dir; other_sock |]
+      Unix.stdin Unix.stdout Unix.stderr
+  in
+  let rec wait n =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when n = 0 ->
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid);
+        Alcotest.fail "second daemon started on a locked out_dir"
+    | 0, _ ->
+        Unix.sleepf 0.05;
+        wait (n - 1)
+    | _, status -> status
+  in
+  check "second daemon raised Failure" true (wait 400 = Unix.WEXITED 3);
+  check "second daemon never bound its socket" false (Sys.file_exists other_sock);
+  let ino', bytes' = snapshot () in
+  check "journal keeps its inode" true (ino = ino');
+  check "journal keeps its bytes" true (bytes = bytes');
+  let other = Job.of_flags ~kind:`Campaign ~seeds:2 ~protocol:"kset" Protocol.default in
+  ignore (expect (Serve.Client.submit conn other));
+  let ino'', bytes'' = snapshot () in
+  check "incumbent still journals into the same file" true
+    (ino'' = ino && String.length bytes'' > String.length bytes);
+  ignore (expect (Serve.Client.shutdown conn));
+  Serve.Client.close conn;
+  Domain.join d;
+  rm_rf dir
+
 let () =
+  (match Sys.argv with
+  | [| _; "second-daemon"; out_dir; socket_path |] ->
+      second_daemon_main out_dir socket_path
+  | _ -> ());
   let qc =
     List.map
       (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 42 |]))
@@ -1010,5 +1163,14 @@ let () =
             test_daemon_restart_resume;
           Alcotest.test_case "deadline retry then poison" `Quick
             test_daemon_deadline_retry_poison;
+        ] );
+      ( "hardening",
+        [
+          Alcotest.test_case "slow consumer shed, others served" `Quick
+            test_daemon_slow_consumer_shed;
+          Alcotest.test_case "connection cap answers with an error" `Quick
+            test_daemon_connection_cap;
+          Alcotest.test_case "second daemon refused, journal untouched" `Quick
+            test_daemon_second_start_refused;
         ] );
     ]

@@ -272,6 +272,22 @@ let test_cache_write_failure_counted () =
   check_int "campaign attributes the write failure" 1 c.Runner.c_cache_write_failed;
   rm_rf dir
 
+(* --- telemetry ----------------------------------------------------------- *)
+
+(* The ticker must wake when the campaign ends instead of finishing its
+   0.25 s period: a one-run campaign stays as fast as without telemetry
+   and still gets its guaranteed final snapshot. *)
+let test_telemetry_ticker_exits_promptly () =
+  let frames = ref 0 in
+  let c =
+    Runner.run ~jobs:1 ~on_telemetry:(fun _ -> incr frames) ~exp:"testcamp"
+      [ kset_job 1 ]
+  in
+  check "final snapshot delivered" true (!frames >= 1);
+  check
+    (Printf.sprintf "campaign wall %.3fs < 0.1s" c.Runner.c_wall_s)
+    true (c.Runner.c_wall_s < 0.1)
+
 let () =
   (* Keep the triage sink clean: these tests run inside dune's test
      runner, and campaigns recorded here must not leak between cases. *)
@@ -303,5 +319,10 @@ let () =
             test_cache_corruption_fuzz;
           Alcotest.test_case "write failure counted" `Quick
             test_cache_write_failure_counted;
+        ] );
+      ( "telemetry",
+        [
+          Alcotest.test_case "ticker exits with the campaign" `Quick
+            test_telemetry_ticker_exits_promptly;
         ] );
     ]
