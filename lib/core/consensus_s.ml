@@ -7,9 +7,30 @@ type msg =
   | Est of { r : int; v : int } (* coordinator's proposal for round r *)
   | Aux of { r : int; aux : int option }
 
+(* What a process keeps of one round-phase's deliveries: the keyed index's
+   summary, folded from the first message of each sender. *)
+type tally = {
+  mutable ests : (Pid.t * int) list; (* EST: (sender, value) *)
+  mutable vals : int list; (* AUX: distinct non-⊥ values, ascending *)
+  mutable bot : bool; (* AUX: some sender sent ⊥ *)
+}
+
+let tally =
+  {
+    Net.empty = (fun () -> { ests = []; vals = []; bot = false });
+    add =
+      (fun tl ~src m ->
+        (match m with
+        | Est { v; _ } -> tl.ests <- (src, v) :: tl.ests
+        | Aux { aux = Some v; _ } ->
+            if not (List.mem v tl.vals) then tl.vals <- List.sort Int.compare (v :: tl.vals)
+        | Aux { aux = None; _ } -> tl.bot <- true);
+        tl);
+  }
+
 type t = {
   sim : Sim.t;
-  net : msg Net.t;
+  net : (msg, tally) Net.net;
   rb : int Rbcast.t;
   decided_at : (int * int * float) option array;
   mutable decided_set : Pidset.t; (* pids with [decided_at <> None] *)
@@ -43,7 +64,9 @@ let install sim ~(suspector : Iface.suspector) ~proposals ?(delay = Delay.defaul
     | Est { r; _ } -> key_est r
     | Aux { r; _ } -> key_aux r
   in
-  let net = Net.create sim ~tag:"cons_s" ~delay ~retain:false ~classify () in
+  let net =
+    Net.create_keyed sim ~tag:"cons_s" ~delay ~retain:false ~classify ~summary:tally ()
+  in
   let rb = Rbcast.create sim ~tag:"cons_s.dec" ~delay () in
   let t =
     {
@@ -95,28 +118,15 @@ let install sim ~(suspector : Iface.suspector) ~proposals ?(delay = Delay.defaul
       (* Phase 1: the coordinator pushes its estimate; everyone adopts it
          as aux unless the coordinator becomes suspect first. *)
       if i = coord then Net.broadcast net ~src:i (Est { r = round; v = !est });
-      (* Re-evaluated per event while polling: fold the stored envelope
-         list in place (no [keyed_envs] copy; the coordinator broadcasts
-         at most one Est per round, so order is irrelevant). *)
-      let est_from_coord () =
-        Net.keyed_fold net i (key_est round) ~init:None
-          ~f:(fun acc (e : msg Net.envelope) ->
-            match acc with
-            | Some _ -> acc
-            | None -> (
-                match e.payload with
-                | Est { v; _ } when e.src = coord -> Some v
-                | Est _ | Aux _ -> None))
-      in
       (* Reads the suspector's output (clock-derived): poll cadence. *)
       Sim.Cond.await
         [ Sim.Cond.poll sim ]
         (fun () ->
           decided_i ()
-          || Option.is_some (est_from_coord ())
+          || List.mem_assoc coord (Net.keyed_summary net i (key_est round)).ests
           || Pidset.mem coord (suspector.Iface.suspected i));
       if not (decided_i ()) then begin
-        let aux = est_from_coord () in
+        let aux = List.assoc_opt coord (Net.keyed_summary net i (key_est round)).ests in
         (* Phase 2: quorum exchange of aux values.  Any two (n-t)-quorums
            intersect (t < n/2), which is what makes a decision in this
            round sticky in all later rounds. *)
@@ -129,19 +139,8 @@ let install sim ~(suspector : Iface.suspector) ~proposals ?(delay = Delay.defaul
             decided_i ()
             || Net.keyed_nsenders net i (key_aux round) >= n - tb);
         if not (decided_i ()) then begin
-          let saw_bot = ref false in
-          let raw =
-            Net.keyed_fold net i (key_aux round) ~init:[]
-              ~f:(fun acc (e : msg Net.envelope) ->
-                match e.payload with
-                | Aux { aux = Some v; _ } -> v :: acc
-                | Aux { aux = None; _ } ->
-                    saw_bot := true;
-                    acc
-                | Est _ -> assert false)
-          in
-          let vals = List.sort_uniq Int.compare raw in
-          match (vals, !saw_bot) with
+          let tl = Net.keyed_summary net i (key_aux round) in
+          match (tl.vals, tl.bot) with
           | [ v ], false -> Rbcast.broadcast rb ~src:i v
           | v :: _, _ -> est := v
           | [], _ -> ()
@@ -149,11 +148,12 @@ let install sim ~(suspector : Iface.suspector) ~proposals ?(delay = Delay.defaul
       end;
       (* Round r's aggregates are dead once the loop advances: retire them
          so the live heap stays bounded by the round window. *)
-      Net.keyed_drop net i (key_est round);
-      Net.keyed_drop net i (key_aux round);
+      Net.retire net i ~below:(key_est (round + 1));
       if Trace.records_entries tr then
         Trace.end_span tr ~time:(Sim.now sim) (Trace.Round { pid = i; round })
-    done
+    done;
+    (* Decided: later rounds' deliveries are never read. *)
+    Net.retire net i ~below:max_int
   in
   for i = 0 to n - 1 do
     Sim.spawn sim ~pid:i (body i)

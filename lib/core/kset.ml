@@ -7,9 +7,35 @@ type msg =
   | Phase1 of { r : int; lset : Pidset.t; est : int }
   | Phase2 of { r : int; aux : int option }
 
+(* What a process keeps of one round-phase's deliveries: the keyed index's
+   summary, folded from the first message of each sender. *)
+type tally = {
+  mutable from : msg array; (* phase 1: each sender's PHASE1, by pid; [||] until one arrives *)
+  mutable vals : int list; (* phase 2: distinct non-⊥ aux values, ascending *)
+  mutable bot : bool; (* phase 2: some sender sent ⊥ *)
+}
+
+(* Fills the [from] slots of senders not heard from. *)
+let unheard = Phase2 { r = 0; aux = None }
+
+let tally ~n =
+  {
+    Net.empty = (fun () -> { from = [||]; vals = []; bot = false });
+    add =
+      (fun tl ~src m ->
+        (match m with
+        | Phase1 _ ->
+            if Array.length tl.from = 0 then tl.from <- Array.make n unheard;
+            tl.from.(src) <- m
+        | Phase2 { aux = Some v; _ } ->
+            if not (List.mem v tl.vals) then tl.vals <- List.sort Int.compare (v :: tl.vals)
+        | Phase2 { aux = None; _ } -> tl.bot <- true);
+        tl);
+  }
+
 type t = {
   sim : Sim.t;
-  net : msg Net.t;
+  net : (msg, tally) Net.net;
   rb : int Rbcast.t;
   decided_at : (int * int * float) option array; (* value, round, time *)
   mutable decided_set : Pidset.t; (* pids with [decided_at <> None] *)
@@ -52,25 +78,34 @@ let record_aux t ~round = function
       let cur = Option.value ~default:[] (Hashtbl.find_opt t.aux_per_round round) in
       if not (List.mem v cur) then Hashtbl.replace t.aux_per_round round (v :: cur)
 
-(* Find the leader set announced (in its PHASE1 of this round) by a strict
-   majority of distinct senders, if any; at most one set can qualify.  Runs
-   on every phase-1 quorum wakeup, so the tallies are mutable cells scanned
-   in one pass (the distinct-lset list stays tiny: every process trusting
-   the same leaders is the common case). *)
-let majority_leader_set net ~i ~key ~n =
-  let counts : (Pidset.t * Pidset.t ref) list ref = ref [] in
-  Net.keyed_fold net i key ~init:()
-    ~f:(fun () (e : msg Net.envelope) ->
-      match e.payload with
-      | Phase1 { lset; _ } -> (
-          match
-            List.find_opt (fun (l, _) -> Pidset.equal l lset) !counts
-          with
-          | Some (_, senders) -> senders := Pidset.add e.src !senders
-          | None -> counts := (lset, ref (Pidset.singleton e.src)) :: !counts)
-      | Phase2 _ -> ());
-  List.find_opt (fun (_, senders) -> 2 * Pidset.cardinal !senders > n) !counts
-  |> Option.map fst
+(* The leader set announced (in its PHASE1 of this round) by a strict
+   majority of distinct senders, if any; at most one set can qualify.  A
+   Boyer–Moore vote over the senders heard from leaves the only possible
+   majority as the candidate, and one counting pass confirms it. *)
+let majority_leader_set (tl : tally) ~n =
+  let cand = ref Pidset.empty and lead = ref 0 in
+  Array.iter
+    (function
+      | Phase1 { lset; _ } ->
+          if !lead = 0 then begin
+            cand := lset;
+            lead := 1
+          end
+          else if Pidset.equal lset !cand then incr lead
+          else decr lead
+      | Phase2 _ -> ())
+    tl.from;
+  if !lead = 0 then None
+  else begin
+    let votes =
+      Array.fold_left
+        (fun acc -> function
+          | Phase1 { lset; _ } when Pidset.equal lset !cand -> acc + 1
+          | _ -> acc)
+        0 tl.from
+    in
+    if 2 * votes > n then Some !cand else None
+  end
 
 type tie_break = Smallest | By_pid
 
@@ -95,7 +130,10 @@ let install sim ~omega ~proposals ?(delay = Delay.default) ?(step = 0.05)
     | Phase1 { r; _ } -> key_p1 r
     | Phase2 { r; _ } -> key_p2 r
   in
-  let net = Net.create sim ~tag:"kset" ~delay ~retain:false ~classify ?loss () in
+  let net =
+    Net.create_keyed sim ~tag:"kset" ~delay ~retain:false ?loss ~classify
+      ~summary:(tally ~n) ()
+  in
   let rb = Rbcast.create sim ~tag:"kset.dec" ~delay ?stagger:decision_stagger ?loss () in
   let t =
     {
@@ -164,22 +202,23 @@ let install sim ~omega ~proposals ?(delay = Delay.default) ?(step = 0.05)
         [ Sim.Cond.poll sim ]
         (fun () ->
           decided_i ()
-          || (not (Pidset.disjoint (Net.keyed_senders net i (key_p1 round)) l_i))
+          || Net.keyed_meets net i (key_p1 round) l_i
           || not (Pidset.equal (omega.Iface.trusted i) l_i));
       if not (decided_i ()) then begin
+        let p1 = Net.keyed_summary net i (key_p1 round) in
         let aux =
-          match majority_leader_set net ~i ~key:(key_p1 round) ~n with
+          match majority_leader_set p1 ~n with
           | None -> None
           | Some lset -> (
               (* Estimates announced by members of the majority leader set,
-                 as a sorted value set; one fold, no intermediate pairs. *)
+                 as a sorted value set. *)
               let ests =
-                Net.keyed_fold net i (key_p1 round) ~init:[]
-                  ~f:(fun acc (e : msg Net.envelope) ->
-                    match e.payload with
-                    | Phase1 { est; _ } when Pidset.mem e.src lset ->
-                        est :: acc
-                    | _ -> acc)
+                Pidset.fold
+                  (fun src acc ->
+                    match p1.from.(src) with
+                    | Phase1 { est; _ } -> est :: acc
+                    | Phase2 _ -> acc)
+                  lset []
               in
               match List.sort_uniq Int.compare ests with
               | [] -> None
@@ -194,20 +233,9 @@ let install sim ~omega ~proposals ?(delay = Delay.default) ?(step = 0.05)
             decided_i ()
             || Net.keyed_nsenders net i (key_p2 round) >= n - tb);
         if not (decided_i ()) then begin
-          let saw_bot = ref false in
-          let vals =
-            Net.keyed_fold net i (key_p2 round) ~init:[]
-              ~f:(fun acc (e : msg Net.envelope) ->
-                match e.payload with
-                | Phase2 { aux = Some v; _ } -> v :: acc
-                | Phase2 { aux = None; _ } ->
-                    saw_bot := true;
-                    acc
-                | Phase1 _ -> assert false)
-          in
-          let non_bot = List.sort_uniq Int.compare vals in
-          (match non_bot with [] -> () | vs -> est := choose tie_break ~pid:i vs);
-          if not !saw_bot then begin
+          let p2 = Net.keyed_summary net i (key_p2 round) in
+          (match p2.vals with [] -> () | vs -> est := choose tie_break ~pid:i vs);
+          if not p2.bot then begin
             Rbcast.broadcast rb ~src:i !est;
             (* The local R-delivery above has already recorded the decision;
                the loop guard ends the task. *)
@@ -218,11 +246,12 @@ let install sim ~omega ~proposals ?(delay = Delay.default) ?(step = 0.05)
       (* Nothing reads round r's aggregates once the loop advances (each
          wait closes over its own round): retire them so the live heap
          stays bounded by the round window, not the whole run. *)
-      Net.keyed_drop net i (key_p1 round);
-      Net.keyed_drop net i (key_p2 round);
+      Net.retire net i ~below:(key_p1 (round + 1));
       if Trace.records_entries tr then
         Trace.end_span tr ~time:(Sim.now sim) (Trace.Round { pid = i; round })
-    done
+    done;
+    (* Decided: later rounds' deliveries are never read. *)
+    Net.retire net i ~below:max_int
   in
   for i = 0 to n - 1 do
     Sim.spawn sim ~pid:i (body i)

@@ -341,7 +341,7 @@ let register_dispatcher t f =
 
 let schedule_dispatch t ~time ~disp ~row =
   if time < t.now then invalid_arg "Sim.schedule_dispatch: time in the past";
-  Earena.add t.arena ~time ~kind:k_net ~arg:((row lsl 6) lor disp)
+  ignore (Earena.add t.arena ~time ~kind:k_net ~arg:((row lsl 6) lor disp))
 
 let is_crashed t pid = t.crashed.(pid)
 let faults t = t.faults

@@ -255,11 +255,10 @@ val ticker : t -> every:float -> unit
     [Net] batches all envelopes bound for one destination mailbox at one
     timestamp into a single event: it registers a dispatcher once, then
     schedules [k_net] events whose integer argument encodes the
-    dispatcher id and a row index into the substrate's own flat store.
-    The returned slot id identifies the queued event so the substrate can
-    recognize it when it fires (and keep appending rows to its batch
-    until then).  These hooks are for substrate implementations; protocol
-    code never calls them. *)
+    dispatcher id and a row index into the substrate's own flat store
+    (the substrate recognizes its batch by that row when it fires, and
+    keeps appending rows to it until then).  These hooks are for
+    substrate implementations; protocol code never calls them. *)
 
 val register_dispatcher : t -> (int -> unit) -> int
 (** Register a dispatch function and return its id.  The function is
@@ -267,9 +266,9 @@ val register_dispatcher : t -> (int -> unit) -> int
     dispatchers per simulator (the id is packed into 6 bits of the event
     argument); raises [Invalid_argument] beyond that. *)
 
-val schedule_dispatch : t -> time:float -> disp:int -> row:int -> int
+val schedule_dispatch : t -> time:float -> disp:int -> row:int -> unit
 (** Queue a dispatch event at an absolute time (>= now, else
-    [Invalid_argument]); returns the arena slot id of the queued event. *)
+    [Invalid_argument]). *)
 
 (** {1 Choice-point control (schedule exploration)}
 

@@ -9,17 +9,25 @@ type 'm envelope = {
   payload : 'm;
 }
 
+(* What the keyed index keeps of a protocol's deliveries: [empty] makes
+   the summary of a key nothing has reached yet, [add] folds in the first
+   delivery from one sender. *)
+type ('m, 's) summary = { empty : unit -> 's; add : 's -> src:Pid.t -> 'm -> 's }
+
+let counts_only = { empty = (fun () -> ()); add = (fun () ~src:_ _ -> ()) }
+
 (* Per-(destination, key) aggregate maintained incrementally at delivery
    time, so blocked-predicate readiness checks are O(1) lookups instead of
-   whole-mailbox rescans. *)
-type 'm keyslot = {
+   whole-mailbox rescans.  No envelopes: the payload is read once, into
+   the summary, and dropped. *)
+type 's keyslot = {
   mutable k_count : int;
-  mutable k_senders : Pidset.t;
+  k_senders : Pidset.Bits.t; (* set in place *)
   mutable k_nsenders : int; (* = cardinal k_senders, maintained here *)
-  mutable k_envs : 'm envelope list; (* newest-first; accessor reverses *)
+  mutable k_sum : 's;
 }
 
-type 'm t = {
+type ('m, 's) net = {
   sim : Sim.t;
   tag : string;
   delay : Delay.t;
@@ -29,24 +37,30 @@ type 'm t = {
   frng : Rng.t;
   retain : bool;
   classify : ('m -> int) option;
+  summary : ('m, 's) summary;
+  absent : 's; (* the summary read for keys with no live slot *)
   (* When present, sends travel through the stubborn transport over a
      fair-lossy link instead of the direct channel. *)
   transport : (float * 'm) Lossy.Transport.t option;
-  (* Mailboxes are append-only logs in delivery order. *)
+  (* Mailboxes are append-only logs in delivery order; without [retain]
+     every destination shares one empty log that nothing appends to. *)
   boxes : 'm envelope Vec.t array;
   (* Keyed index storage: protocol classify keys are small dense ints
      (round/phase coordinates), so the common case is a direct array slot
      read; rare out-of-range keys (negative, or past the dense bound) fall
-     back to a hashtable.  Looked up once per delivery and once per
-     blocked-predicate evaluation, which is what rules out a generic-hash
-     [Hashtbl.find] here. *)
-  kdense : 'm keyslot option array array; (* per dst, key-indexed *)
+     back to one hashtable keyed by (destination, key).  Looked up once
+     per delivery and once per blocked-predicate evaluation, which is
+     what rules out a generic-hash [Hashtbl.find] here. *)
+  kdense : 's keyslot option array array; (* per dst, key-indexed *)
   (* Distinct-sender counts mirrored out of the keyslots into flat int
      rows (grown in lockstep with [kdense]): the quorum predicates reading
      [keyed_nsenders] run on every blocked-predicate evaluation, and two
      flat array reads replace the option + record pointer chase. *)
   knsend : int array array;
-  keyed_ovf : (int, 'm keyslot) Hashtbl.t array;
+  keyed_ovf : (int * int, 's keyslot) Hashtbl.t;
+  (* Per-destination round frontier: keys below it are retired, and
+     deliveries of them skip the index. *)
+  frontier : int array;
   conds : Sim.cond array;
   (* Quorum watches: one per destination, registered by [quorum_cond].
      The indexer signals the watch only when the watched key's distinct-
@@ -72,22 +86,33 @@ type 'm t = {
   mutable r_src : int array;
   mutable r_dst : int array;
   mutable r_sent : float array;
-  mutable r_pay : 'm option array;
+  mutable r_pay : 'm array;
+  (* What a freed row's payload cell points at: the net's first payload,
+     kept for this, so a free row holds on to no message of its own (no
+     option box per send, which a message in flight would get promoted
+     with). *)
+  mutable r_fill : 'm option;
   mutable r_next : int array;
   mutable r_free : int; (* free-list head, -1 = none *)
   (* The open (= still-queued, still-appendable) batch per destination:
      head/tail row of the chain and the batch's delivery time.  Cleared by
      the dispatcher when the tracked batch fires. *)
-  open_slot : int array; (* arena slot of the queued event, -1 = none *)
   open_head : int array;
   open_tail : int array;
   open_time : float array;
 }
 
+type 'm t = ('m, unit) net
+
 let kdense_max = 1 lsl 16
 
-let fresh_keyslot () =
-  { k_count = 0; k_senders = Pidset.empty; k_nsenders = 0; k_envs = [] }
+let fresh_keyslot t =
+  {
+    k_count = 0;
+    k_senders = Pidset.Bits.create ~n:(Sim.n t.sim);
+    k_nsenders = 0;
+    k_sum = t.summary.empty ();
+  }
 
 (* Get-or-create the slot for [key] at [dst]. *)
 let keyslot_get t dst key =
@@ -98,7 +123,7 @@ let keyslot_get t dst key =
       match row.(key) with
       | Some s -> s
       | None ->
-          let s = fresh_keyslot () in
+          let s = fresh_keyslot t in
           row.(key) <- Some s;
           s
     else begin
@@ -112,41 +137,45 @@ let keyslot_get t dst key =
       let kn' = Array.make !nlen 0 in
       Array.blit t.knsend.(dst) 0 kn' 0 len;
       t.knsend.(dst) <- kn';
-      let s = fresh_keyslot () in
+      let s = fresh_keyslot t in
       row'.(key) <- Some s;
       s
     end
   end
   else
-    match Hashtbl.find t.keyed_ovf.(dst) key with
+    match Hashtbl.find t.keyed_ovf (dst, key) with
     | s -> s
     | exception Not_found ->
-        let s = fresh_keyslot () in
-        Hashtbl.add t.keyed_ovf.(dst) key s;
+        let s = fresh_keyslot t in
+        Hashtbl.add t.keyed_ovf (dst, key) s;
         s
 
-(* The slot for [key] at [pid], if any delivery created it. *)
+(* The slot for [key] at [pid], if a delivery created it and it is not
+   retired. *)
 let keyslot_find t pid key =
   if key >= 0 && key < kdense_max then
     let row = t.kdense.(pid) in
     if key < Array.length row then row.(key) else None
-  else Hashtbl.find_opt t.keyed_ovf.(pid) key
+  else Hashtbl.find_opt t.keyed_ovf (pid, key)
 
-let index t ~dst (env : 'm envelope) key =
-  let slot = keyslot_get t dst key in
-  slot.k_count <- slot.k_count + 1;
-  if not (Pidset.mem env.src slot.k_senders) then begin
-    slot.k_senders <- Pidset.add env.src slot.k_senders;
-    slot.k_nsenders <- slot.k_nsenders + 1;
-    if key >= 0 && key < kdense_max then
-      t.knsend.(dst).(key) <- slot.k_nsenders;
-    (* Counts only increment by one, so [=] fires exactly at the crossing
-       (a watch registered at-or-above its threshold is resolved by the
-       await's immediate first evaluation instead). *)
-    if t.watch_key.(dst) = key && slot.k_nsenders = t.watch_q.(dst) then
-      Sim.Cond.signal t.watch_conds.(dst)
-  end;
-  slot.k_envs <- env :: slot.k_envs
+(* Count every delivery; fold only a sender's first one into the senders
+   and the summary, so duplicate copies leave both unchanged. *)
+let index t ~dst ~src payload key =
+  if key >= t.frontier.(dst) then begin
+    let slot = keyslot_get t dst key in
+    slot.k_count <- slot.k_count + 1;
+    if Pidset.Bits.add slot.k_senders src then begin
+      slot.k_nsenders <- slot.k_nsenders + 1;
+      slot.k_sum <- t.summary.add slot.k_sum ~src payload;
+      if key >= 0 && key < kdense_max then
+        t.knsend.(dst).(key) <- slot.k_nsenders;
+      (* Counts only increment by one, so [=] fires exactly at the crossing
+         (a watch registered at-or-above its threshold is resolved by the
+         await's immediate first evaluation instead). *)
+      if t.watch_key.(dst) = key && slot.k_nsenders = t.watch_q.(dst) then
+        Sim.Cond.signal t.watch_conds.(dst)
+    end
+  end
 
 let rec deliver t ~src ~dst ~sent_at payload () =
   if not (Sim.is_crashed t.sim dst) then begin
@@ -160,28 +189,34 @@ let rec deliver t ~src ~dst ~sent_at payload () =
   end
 
 and deliver_now t ~src ~dst ~sent_at payload =
-  begin
-    let env = { src; dst; sent_at; delivered_at = Sim.now t.sim; payload } in
-    if t.retain then Vec.push t.boxes.(dst) env;
-    (match t.classify with Some f -> index t ~dst env (f payload) | None -> ());
-    t.delivered <- t.delivered + 1;
-    Trace.bump t.h_delivered 1;
-    let tr = Sim.trace t.sim in
-    if Trace.records_full tr then
-      Trace.record tr ~time:env.delivered_at
-        (Trace.Deliver { src; dst; tag = t.tag });
-    (* Match form: no closure capture when the common cases (no handler,
-       one handler) run on every delivery. *)
-    (match t.handlers with
-    | [] -> ()
-    | [ h ] -> h env
-    | hs -> List.iter (fun h -> h env) hs);
-    Sim.Cond.signal t.conds.(dst)
-  end
+  let now = Sim.now t.sim in
+  (match t.classify with Some f -> index t ~dst ~src payload (f payload) | None -> ());
+  t.delivered <- t.delivered + 1;
+  Trace.bump t.h_delivered 1;
+  let tr = Sim.trace t.sim in
+  if Trace.records_full tr then
+    Trace.record tr ~time:now (Trace.Deliver { src; dst; tag = t.tag });
+  (* An envelope exists only for a mailbox or a handler to keep.  Match
+     form: no closure capture when the common cases (no handler, one
+     handler) run on every delivery. *)
+  (match (t.retain, t.handlers) with
+  | false, [] -> ()
+  | _, hs -> (
+      let env = { src; dst; sent_at; delivered_at = now; payload } in
+      if t.retain then Vec.push t.boxes.(dst) env;
+      match hs with [] -> () | [ h ] -> h env | hs -> List.iter (fun h -> h env) hs));
+  Sim.Cond.signal t.conds.(dst)
 
 (* ---- Flat rows and batched dispatch ---- *)
 
-let row_grow t =
+let row_grow t payload =
+  let fill =
+    match t.r_fill with
+    | Some f -> f
+    | None ->
+        t.r_fill <- Some payload;
+        payload
+  in
   let cap = Array.length t.r_src in
   let ncap = max 16 (2 * cap) in
   let copy a fill =
@@ -192,7 +227,7 @@ let row_grow t =
   t.r_src <- copy t.r_src 0;
   t.r_dst <- copy t.r_dst 0;
   t.r_sent <- copy t.r_sent 0.0;
-  t.r_pay <- copy t.r_pay None;
+  t.r_pay <- copy t.r_pay fill;
   t.r_next <- copy t.r_next (-1);
   for i = cap to ncap - 1 do
     t.r_next.(i) <- (if i + 1 < ncap then i + 1 else t.r_free)
@@ -200,18 +235,18 @@ let row_grow t =
   t.r_free <- cap
 
 let row_alloc t ~src ~dst ~sent_at payload =
-  if t.r_free = -1 then row_grow t;
+  if t.r_free = -1 then row_grow t payload;
   let r = t.r_free in
   t.r_free <- t.r_next.(r);
   t.r_src.(r) <- src;
   t.r_dst.(r) <- dst;
   t.r_sent.(r) <- sent_at;
-  t.r_pay.(r) <- Some payload;
+  t.r_pay.(r) <- payload;
   t.r_next.(r) <- -1;
   r
 
 let row_free t r =
-  t.r_pay.(r) <- None;
+  (match t.r_fill with Some f -> t.r_pay.(r) <- f | None -> ());
   t.r_next.(r) <- t.r_free;
   t.r_free <- r
 
@@ -222,7 +257,6 @@ let row_free t r =
 let dispatch t head =
   let dst = t.r_dst.(head) in
   if t.open_head.(dst) = head then begin
-    t.open_slot.(dst) <- -1;
     t.open_head.(dst) <- -1;
     t.open_tail.(dst) <- -1;
     t.open_time.(dst) <- neg_infinity
@@ -231,7 +265,7 @@ let dispatch t head =
   while !row >= 0 do
     let r = !row in
     let src = t.r_src.(r) and sent_at = t.r_sent.(r) in
-    let payload = match t.r_pay.(r) with Some p -> p | None -> assert false in
+    let payload = t.r_pay.(r) in
     row := t.r_next.(r);
     (* Free before delivering: handlers may send, reusing this row; all
        fields are already read out. *)
@@ -254,10 +288,7 @@ let schedule_delivery t ~src ~dst ~sent_at ~deliver_at payload =
       t.open_tail.(dst) <- r
     end
     else begin
-      let slot =
-        Sim.schedule_dispatch t.sim ~time:deliver_at ~disp:t.disp ~row:r
-      in
-      t.open_slot.(dst) <- slot;
+      Sim.schedule_dispatch t.sim ~time:deliver_at ~disp:t.disp ~row:r;
       t.open_head.(dst) <- r;
       t.open_tail.(dst) <- r;
       t.open_time.(dst) <- deliver_at
@@ -275,8 +306,7 @@ let inject t ~src payload =
       let sent_at = Sim.now t.sim in
       Sim.schedule t.sim ~delay:0.0 (deliver t ~src ~dst ~sent_at payload)
 
-let create sim ?(tag = "net") ?(delay = Delay.default) ?(retain = true) ?classify
-    ?loss () =
+let make sim ~tag ~delay ~retain ~classify ~summary ~loss =
   let transport =
     Option.map (fun loss -> Lossy.Transport.create sim ~tag:(tag ^ ".l") ~delay ~loss ()) loss
   in
@@ -291,11 +321,16 @@ let create sim ?(tag = "net") ?(delay = Delay.default) ?(retain = true) ?classif
       frng = Rng.split_named (Sim.rng sim) ("fault:" ^ tag);
       retain;
       classify;
+      summary;
+      absent = summary.empty ();
       transport;
-      boxes = Array.init n (fun _ -> Vec.create ());
+      boxes =
+        (if retain then Array.init n (fun _ -> Vec.create ())
+         else Array.make n (Vec.create ()));
       kdense = Array.make n [||];
       knsend = Array.make n [||];
-      keyed_ovf = Array.init n (fun _ -> Hashtbl.create 4);
+      keyed_ovf = Hashtbl.create 1;
+      frontier = Array.make n min_int;
       conds = Array.init n (fun _ -> Sim.Cond.create sim);
       watch_key = Array.make n min_int;
       watch_q = Array.make n 0;
@@ -311,9 +346,9 @@ let create sim ?(tag = "net") ?(delay = Delay.default) ?(retain = true) ?classif
       r_dst = [||];
       r_sent = [||];
       r_pay = [||];
+      r_fill = None;
       r_next = [||];
       r_free = -1;
-      open_slot = Array.make n (-1);
       open_head = Array.make n (-1);
       open_tail = Array.make n (-1);
       open_time = Array.make n neg_infinity;
@@ -334,6 +369,13 @@ let create sim ?(tag = "net") ?(delay = Delay.default) ?(retain = true) ?classif
           inject t ~src payload)
   | None -> ());
   t
+
+let create sim ?(tag = "net") ?(delay = Delay.default) ?(retain = true) ?loss () =
+  make sim ~tag ~delay ~retain ~classify:None ~summary:counts_only ~loss
+
+let create_keyed sim ?(tag = "net") ?(delay = Delay.default) ?(retain = true) ?loss
+    ~classify ~summary () =
+  make sim ~tag ~delay ~retain ~classify:(Some classify) ~summary ~loss
 
 let sim t = t.sim
 let cond t pid = t.conds.(pid)
@@ -455,28 +497,31 @@ let keyed_nsenders t pid key =
 
 let keyed_senders t pid key =
   match keyslot_find t pid key with
-  | Some s -> s.k_senders
+  | Some s -> Pidset.Bits.to_set s.k_senders
   | None -> Pidset.empty
 
-let keyed_envs t pid key =
+let keyed_meets t pid key set =
   match keyslot_find t pid key with
-  | Some s -> List.rev s.k_envs
-  | None -> []
+  | Some s -> Pidset.Bits.meets s.k_senders set
+  | None -> false
 
-let keyed_fold t pid key ~init ~f =
-  match keyslot_find t pid key with
-  | Some s -> List.fold_left f init s.k_envs
-  | None -> init
+let keyed_summary t pid key =
+  match keyslot_find t pid key with Some s -> s.k_sum | None -> t.absent
 
-let keyed_drop t pid key =
-  if key >= 0 && key < kdense_max then begin
-    let row = t.kdense.(pid) in
-    if key < Array.length row then begin
+let retire t pid ~below =
+  let old = t.frontier.(pid) in
+  if below > old then begin
+    t.frontier.(pid) <- below;
+    let row = t.kdense.(pid) and kn = t.knsend.(pid) in
+    for key = max 0 old to min below (Array.length row) - 1 do
       row.(key) <- None;
-      t.knsend.(pid).(key) <- 0
-    end
+      kn.(key) <- 0
+    done;
+    if Hashtbl.length t.keyed_ovf > 0 then
+      Hashtbl.filter_map_inplace
+        (fun (dst, key) s -> if dst = pid && key < below then None else Some s)
+        t.keyed_ovf
   end
-  else Hashtbl.remove t.keyed_ovf.(pid) key
 
 let on_deliver t h = t.handlers <- t.handlers @ [ h ]
 let sent_count t = t.sent

@@ -10,12 +10,14 @@
     over the same simulator, mirroring the paper's module structure.
 
     {b Mailboxes are indexed.}  Each destination owns an append-only log
-    read either whole ({!inbox}), incrementally ({!recv_since} with a
-    cursor), or through per-key aggregates maintained at delivery time
-    when a {!create}-time [classify] function maps payloads to integer
-    keys: {!keyed_count}, {!keyed_senders} and {!keyed_envs} are O(1)/
-    O(matches) lookups, never mailbox rescans.  Every delivery to [dst]
-    signals {!cond}[ t dst], which is what {!Setagree_dsys.Sim.Cond.await}
+    read either whole ({!inbox}) or incrementally ({!recv_since} with a
+    cursor).  A network made by {!create_keyed} also keeps, per
+    (destination, key), an aggregate updated in place at delivery: a
+    sender bitset, a delivery count and a protocol {!summary} folded from
+    each sender's first payload — {!keyed_count}, {!keyed_nsenders} and
+    {!keyed_summary} are O(1) lookups, never mailbox rescans, and no
+    envelope is kept for them.  Every delivery to [dst] signals
+    {!cond}[ t dst], which is what {!Setagree_dsys.Sim.Cond.await}
     predicates over this network subscribe to. *)
 
 open Setagree_util
@@ -29,14 +31,35 @@ type 'm envelope = {
   payload : 'm;
 }
 
-type 'm t
+type ('m, 's) net
+(** A network carrying ['m] payloads whose keyed index keeps an ['s]
+    summary per (destination, key). *)
+
+type 'm t = ('m, unit) net
+(** A network without a protocol summary. *)
+
+type ('m, 's) summary = {
+  empty : unit -> 's;  (** The summary of a key no delivery has reached. *)
+  add : 's -> src:Pid.t -> 'm -> 's;
+      (** Fold in the first delivery of the key from [src]; later copies
+          from the same sender (duplicates) are not passed in, so a
+          summary is unchanged by them.  May update in place and return
+          its argument. *)
+}
+(** How a protocol condenses one key's deliveries at a destination: built
+    at the receiver from delivered payloads only, so it works the same
+    for local deliveries, {!inject}ed ones and explorer-chosen ones.  It
+    assumes what round-based protocols guarantee: a sender sends one
+    payload per key (copies of it may arrive more than once). *)
+
+val counts_only : ('m, unit) summary
+(** No summary: the index keeps senders and counts only. *)
 
 val create :
   Sim.t ->
   ?tag:string ->
   ?delay:Delay.t ->
   ?retain:bool ->
-  ?classify:('m -> int) ->
   ?loss:float ->
   unit ->
   'm t
@@ -48,24 +71,36 @@ val create :
     {!inbox}-style reads; protocols that consume messages purely through
     {!on_deliver} callbacks should pass [false] so unbounded runs stay in
     bounded memory.
-    [classify]: map each payload to an integer key maintained in the
-    per-(destination, key) delivery index — the protocol's round/phase
-    structure, typically.  Classification happens on every delivery even
-    with [retain = false].
     [loss]: when given, every {!send} travels through a stubborn reliable
     transport over a fair-lossy link dropping that fraction of copies
     ({!Lossy.Transport}) — same delivery guarantees between correct
     processes, higher latency and raw-link traffic.  {!send_at} stays
     direct (it is the adversary's injection primitive, not a channel). *)
 
-val sim : 'm t -> Sim.t
+val create_keyed :
+  Sim.t ->
+  ?tag:string ->
+  ?delay:Delay.t ->
+  ?retain:bool ->
+  ?loss:float ->
+  classify:('m -> int) ->
+  summary:('m, 's) summary ->
+  unit ->
+  ('m, 's) net
+(** {!create} plus the keyed delivery index: [classify] maps each payload
+    to an integer key — the protocol's round/phase structure, typically —
+    and every delivery updates the aggregate for (destination, key),
+    including with [retain = false].  Per-key storage is created by the
+    first delivery of the key, never at create time. *)
 
-val cond : 'm t -> Pid.t -> Sim.cond
+val sim : ('m, 's) net -> Sim.t
+
+val cond : ('m, 's) net -> Pid.t -> Sim.cond
 (** The destination's delivery condition: signalled on every delivery to
     the process.  Subscribe {!Sim.Cond.await} predicates that read this
     process's mailbox state to it. *)
 
-val quorum_cond : 'm t -> Pid.t -> key:int -> q:int -> Sim.cond
+val quorum_cond : ('m, 's) net -> Pid.t -> key:int -> q:int -> Sim.cond
 (** Threshold form of {!cond} for the quorum waits that dominate round
     structure: registers (replacing the process's previous registration)
     a watch on the keyed delivery index and returns a condition signalled
@@ -79,7 +114,7 @@ val quorum_cond : 'm t -> Pid.t -> key:int -> q:int -> Sim.cond
     old watch, matching protocols that hold at most one quorum wait at a
     time. *)
 
-val send : 'm t -> src:Pid.t -> dst:Pid.t -> 'm -> unit
+val send : ('m, 's) net -> src:Pid.t -> dst:Pid.t -> 'm -> unit
 (** Asynchronous send; returns immediately.  No-op if [src] already
     crashed (a dead process takes no step).  When a {!Sim} chooser is
     installed ([Sim.controlled]) and the net has no lossy transport, the
@@ -99,68 +134,72 @@ val send : 'm t -> src:Pid.t -> dst:Pid.t -> 'm -> unit
     Controlled runs skip the spec — the chooser owns nondeterminism —
     and transport-backed nets already model their own link faults. *)
 
-val send_at : 'm t -> src:Pid.t -> dst:Pid.t -> deliver_at:float -> 'm -> unit
+val send_at : ('m, 's) net -> src:Pid.t -> dst:Pid.t -> deliver_at:float -> 'm -> unit
 (** Adversarial variant: deliver at an absolute virtual time. *)
 
-val broadcast : 'm t -> src:Pid.t -> 'm -> unit
+val broadcast : ('m, 's) net -> src:Pid.t -> 'm -> unit
 (** The paper's [Broadcast m]: send to every process including the sender.
     Executes atomically at the current instant (each copy still gets its own
     delay); use {!broadcast_staggered} when crash-interrupted partial
     broadcasts must be possible. *)
 
-val broadcast_staggered : 'm t -> src:Pid.t -> step:float -> 'm -> unit
+val broadcast_staggered : ('m, 's) net -> src:Pid.t -> step:float -> 'm -> unit
 (** Sends to destinations one by one, [step] time units apart, stopping if
     the sender crashes in between — the failure mode reliable broadcast
     exists to mask. *)
 
-val inbox : 'm t -> Pid.t -> 'm envelope list
+val inbox : ('m, 's) net -> Pid.t -> 'm envelope list
 (** All messages delivered to the process so far, in delivery order. *)
 
-val recv_filter : 'm t -> Pid.t -> ('m envelope -> bool) -> 'm envelope list
+val recv_filter : ('m, 's) net -> Pid.t -> ('m envelope -> bool) -> 'm envelope list
 
-val recv_count : 'm t -> Pid.t -> ('m envelope -> bool) -> int
+val recv_count : ('m, 's) net -> Pid.t -> ('m envelope -> bool) -> int
 
-val distinct_senders : 'm t -> Pid.t -> ('m envelope -> bool) -> Pidset.t
+val distinct_senders : ('m, 's) net -> Pid.t -> ('m envelope -> bool) -> Pidset.t
 (** Senders of matching delivered messages — the "received from n-t
     processes" guards count distinct senders. *)
 
-val mail_cursor : 'm t -> Pid.t -> int
+val mail_cursor : ('m, 's) net -> Pid.t -> int
 (** Current length of the process's mailbox log; pass to {!recv_since}
     later to read only what arrived in between. *)
 
-val recv_since : 'm t -> Pid.t -> cursor:int -> 'm envelope list
+val recv_since : ('m, 's) net -> Pid.t -> cursor:int -> 'm envelope list
 (** Envelopes appended at positions [>= cursor], in delivery order. *)
 
-(** {1 Keyed delivery index} (requires [classify] at {!create}) *)
+(** {1 Keyed delivery index} (networks made by {!create_keyed}) *)
 
-val keyed_count : 'm t -> Pid.t -> int -> int
+val keyed_count : ('m, 's) net -> Pid.t -> int -> int
 (** Deliveries to the process whose payload classified to the key. *)
 
-val keyed_senders : 'm t -> Pid.t -> int -> Pidset.t
-(** Distinct senders among them — the O(1) form of the "received PHASE1(r)
-    from n-t processes" readiness checks. *)
+val keyed_senders : ('m, 's) net -> Pid.t -> int -> Pidset.t
+(** Distinct senders among them, as a snapshot of the in-place bitset.
+    Per-event predicates use {!keyed_nsenders} or {!keyed_meets}, which
+    copy nothing. *)
 
-val keyed_nsenders : 'm t -> Pid.t -> int -> int
+val keyed_nsenders : ('m, 's) net -> Pid.t -> int -> int
 (** [cardinal (keyed_senders t pid key)] without the popcount — an int
     maintained at delivery, for quorum predicates evaluated per event. *)
 
-val keyed_envs : 'm t -> Pid.t -> int -> 'm envelope list
-(** The matching envelopes, in delivery order (copies the stored list). *)
+val keyed_meets : ('m, 's) net -> Pid.t -> int -> Pidset.t -> bool
+(** [keyed_meets t pid key set] is [not (disjoint (keyed_senders t pid
+    key) set)] without the snapshot — for predicates evaluated per
+    event. *)
 
-val keyed_fold :
-  'm t -> Pid.t -> int -> init:'a -> f:('a -> 'm envelope -> 'a) -> 'a
-(** Fold over the matching envelopes, newest first — no copy.  For the
-    per-wakeup scans on the protocol hot path whose result is
-    order-independent (tallies, minima, quorum contents). *)
+val keyed_summary : ('m, 's) net -> Pid.t -> int -> 's
+(** The key's summary at the process: the fold of {!summary}[.add] over
+    the first delivery from each sender so far, or a shared empty summary
+    (never to be mutated) when nothing live is indexed under the key. *)
 
-val keyed_drop : 'm t -> Pid.t -> int -> unit
-(** Retire the aggregate for a key the process will never read again (a
-    finished round): its envelopes become garbage instead of retained
-    history, keeping a long run's live heap bounded by the round window.
-    A late delivery for a dropped key starts a fresh, empty aggregate —
-    harmless as long as the protocol really is done with the key. *)
+val retire : ('m, 's) net -> Pid.t -> below:int -> unit
+(** Advance the process's round frontier: every key below [below] is
+    retired — its aggregate is freed, and later deliveries of it (late or
+    duplicate copies) are still delivered, counted and signalled but skip
+    the index, so the keyed accessors read such keys as empty for good.
+    Keeps a long run's live index bounded by the round window.  The
+    frontier only moves up; [below:max_int] retires every key, for a
+    process that is done reading. *)
 
-val inject : 'm t -> src:Pid.t -> 'm -> unit
+val inject : ('m, 's) net -> src:Pid.t -> 'm -> unit
 (** Real-runtime ingress: deliver a message that already traveled the
     wire to the {!Setagree_dsys.Sim.local} pid, as an immediate delivery
     event of the local simulator (mailbox append, keyed index, handlers
@@ -170,12 +209,12 @@ val inject : 'm t -> src:Pid.t -> 'm -> unit
     registers an inlet under the net's tag that decodes and injects, and
     {!send} routes remote-bound messages through [Sim.set_router]. *)
 
-val on_deliver : 'm t -> ('m envelope -> unit) -> unit
+val on_deliver : ('m, 's) net -> ('m envelope -> unit) -> unit
 (** Register a callback run at each delivery (after the mailbox append and
     only if the destination is alive).  Callbacks run in registration
     order.  Used for the paper's "when m is delivered" tasks. *)
 
-val sent_count : 'm t -> int
+val sent_count : ('m, 's) net -> int
 (** Total messages sent through this network. *)
 
-val delivered_count : 'm t -> int
+val delivered_count : ('m, 's) net -> int

@@ -21,8 +21,12 @@
    the pop frontier, go to the heap; the true minimum is whichever of
    (first-bucket min, heap top) is smaller, so ordering stays exact, not
    approximate.  When in-flight counts outgrow the resolution (a scanned
-   chain passes [chain_limit]) the wheel rebuilds with half the bucket
-   width, so chains stay short at any scale.
+   chain holds more than [chain_limit] entries not tied with its minimum)
+   the wheel rebuilds with half the bucket width, so chains stay short at
+   any scale.  If the wheel is densely populated at that point (more live
+   entries than buckets) it also doubles its bucket count, keeping the
+   window's span: entries stay in the wheel instead of spilling to the
+   heap.  It starts small, so short runs never pay for a large wheel.
 
    [hpos] maps a live slot to its place (heap index, or the wheel marker),
    giving true removal for [cancel] — the queue length stays exact. *)
@@ -43,9 +47,10 @@ type t = {
   mutable hsize : int; (* live heap entries *)
   (* Timing wheel. *)
   mutable bnext : int array; (* slot -> next slot in its bucket chain *)
-  buckets : int array; (* bucket -> chain head slot, -1 = empty *)
-  bits : int array; (* bucket occupancy bitmap, 32 buckets per word *)
-  summary : int array; (* word occupancy of [bits], 32 words per entry *)
+  mutable nb : int; (* bucket count; a power of two *)
+  mutable buckets : int array; (* bucket -> chain head slot, -1 = empty *)
+  mutable bits : int array; (* bucket occupancy bitmap, 32 buckets per word *)
+  mutable summary : int array; (* word occupancy of [bits], 32 words per entry *)
   mutable bw_inv : float; (* 1 / bucket width *)
   mutable floor_ab : int; (* absolute bucket number of the pop frontier *)
   mutable last_pop : float; (* pop frontier time, for rebuilds *)
@@ -65,13 +70,11 @@ type t = {
   mutable pending : int;
 }
 
-let nb = 16384 (* buckets; power of two *)
-let nb_mask = nb - 1
-let bits_len = nb / 32
-let summary_len = bits_len / 32
-let chain_limit = 24 (* rebuild with bw/2 when a scanned chain exceeds this *)
+let initial_nb = 16384 (* buckets at creation; power of two *)
+let max_nb = 1 lsl 20 (* growth cap *)
+let chain_limit = 24 (* rebuild with bw/2 when a chain holds more untied entries *)
 let max_bw_inv = 1e12 (* narrowing fuse: equal-time pileups can't split *)
-let initial_bw_inv = float_of_int nb /. 4.0 (* window starts 4 time units *)
+let initial_bw_inv = float_of_int initial_nb /. 4.0 (* window starts 4 time units *)
 
 let create ?(initial = 64) () =
   let cap = max 4 initial in
@@ -86,9 +89,10 @@ let create ?(initial = 64) () =
     h_seq = Array.make cap 0;
     hsize = 0;
     bnext = Array.make cap (-1);
-    buckets = Array.make nb (-1);
-    bits = Array.make bits_len 0;
-    summary = Array.make summary_len 0;
+    nb = initial_nb;
+    buckets = Array.make initial_nb (-1);
+    bits = Array.make (initial_nb / 32) 0;
+    summary = Array.make (initial_nb / 1024) 0;
     bw_inv = initial_bw_inv;
     floor_ab = 0;
     last_pop = 0.0;
@@ -256,6 +260,7 @@ let lsb w =
 let next_occupied t from =
   if t.wcount = 0 then -1
   else begin
+    let bits_len = Array.length t.bits in
     let fw = from lsr 5 in
     let first = t.bits.(fw) land lnot ((1 lsl (from land 31)) - 1) in
     if first <> 0 then (fw lsl 5) lor lsb first
@@ -280,7 +285,7 @@ let next_occupied t from =
   end
 
 let wheel_insert t slot ~time ~ab =
-  let b = ab land nb_mask in
+  let b = ab land (t.nb - 1) in
   let head = t.buckets.(b) in
   t.bnext.(slot) <- head;
   t.buckets.(b) <- slot;
@@ -311,6 +316,11 @@ let wheel_unlink t slot ~bucket ~prev =
   t.bnext.(slot) <- -1;
   t.wcount <- t.wcount - 1
 
+(* Absolute bucket number of a pop time, when it has one. *)
+let bucket_of t time =
+  let abf = time *. t.bw_inv in
+  if time >= 0.0 && abf < 4.0e18 then int_of_float abf else -1
+
 (* Route a live slot into the wheel or the heap.  Wheel-eligible: a finite
    nonnegative time whose bucket number lands in the window
    [floor_ab, floor_ab + nb) (the float guard keeps the int conversion in
@@ -323,18 +333,18 @@ let route t slot ~time ~sq =
     && abf < 4.0e18
     &&
     let ab = int_of_float abf in
-    if ab >= t.floor_ab && ab - t.floor_ab < nb then begin
-      wheel_insert t slot ~time ~ab;
-      true
-    end
-    else if t.wcount = 0 && ab >= t.floor_ab then begin
-      (* Empty wheel: re-base the window so a jump forward in time (or a
-         freshly cleared arena) still gets bucketed. *)
-      t.floor_ab <- ab;
-      wheel_insert t slot ~time ~ab;
-      true
-    end
-    else false
+    if t.wcount = 0 then
+      (* Empty wheel: re-base the window at the pop frontier (a cleared
+         arena starts over at 0).  Not at the entry itself: one far-future
+         entry would push every earlier one to the heap until its time
+         came. *)
+      t.floor_ab <- max 0 (bucket_of t t.last_pop);
+    ab >= t.floor_ab
+    && ab - t.floor_ab < t.nb
+    && begin
+         wheel_insert t slot ~time ~ab;
+         true
+       end
   in
   if not wheeled then begin
     heap_insert t slot ~time ~sq;
@@ -347,13 +357,15 @@ let route t slot ~time ~sq =
 (* Halve the bucket width and re-route every wheel entry.  Triggered when a
    scanned chain exceeds [chain_limit]: the in-flight population outgrew
    the current resolution.  Geometric, so a run settles after a handful of
-   rebuilds; entries now beyond the narrower window spill to the heap. *)
+   rebuilds.  A densely populated wheel also doubles its bucket count, so
+   the window keeps its span; otherwise entries now beyond the narrower
+   window spill to the heap. *)
 let rebuild_narrower t =
   t.bw_inv <- t.bw_inv *. 2.0;
   t.floor_ab <- int_of_float (t.last_pop *. t.bw_inv);
   t.cm_valid <- false;
   let stack = ref [] in
-  for b = 0 to nb - 1 do
+  for b = 0 to t.nb - 1 do
     let s = ref t.buckets.(b) in
     while !s >= 0 do
       stack := !s :: !stack;
@@ -361,8 +373,16 @@ let rebuild_narrower t =
     done;
     t.buckets.(b) <- -1
   done;
-  Array.fill t.bits 0 bits_len 0;
-  Array.fill t.summary 0 summary_len 0;
+  if t.wcount > t.nb && t.nb < max_nb then begin
+    t.nb <- 2 * t.nb;
+    t.buckets <- Array.make t.nb (-1);
+    t.bits <- Array.make (t.nb / 32) 0;
+    t.summary <- Array.make (t.nb / 1024) 0
+  end
+  else begin
+    Array.fill t.bits 0 (Array.length t.bits) 0;
+    Array.fill t.summary 0 (Array.length t.summary) 0
+  end;
   t.wcount <- 0;
   List.iter
     (fun slot ->
@@ -378,7 +398,7 @@ exception Narrowed
    retries. *)
 let find_min t =
   if not t.cm_valid then begin
-    let wb = next_occupied t (t.floor_ab land nb_mask) in
+    let wb = next_occupied t (t.floor_ab land (t.nb - 1)) in
     let wslot = ref (-1) and wprev = ref (-1) in
     (if wb >= 0 then begin
        let chain_len = ref 0 in
@@ -399,8 +419,18 @@ let find_min t =
          s := t.bnext.(!s)
        done;
        if !chain_len > chain_limit && t.bw_inv < max_bw_inv then begin
-         rebuild_narrower t;
-         raise Narrowed
+         (* Entries tied with the minimum share a bucket at any width:
+            narrow only when enough of the chain can split off. *)
+         let tm = t.time.(!best) and others = ref 0 in
+         let s = ref t.buckets.(wb) in
+         while !s >= 0 do
+           if t.time.(!s) <> tm then incr others;
+           s := t.bnext.(!s)
+         done;
+         if !others > chain_limit then begin
+           rebuild_narrower t;
+           raise Narrowed
+         end
        end;
        wslot := !best;
        wprev := !best_prev
@@ -479,7 +509,12 @@ let pop t =
           [ab >= floor_ab]. *)
        t.floor_ab <- int_of_float (t.time.(slot) *. t.bw_inv)
      end
-     else heap_remove_at t t.hpos.(slot));
+     else begin
+       heap_remove_at t t.hpos.(slot);
+       (* The global minimum, so every wheel entry is at or after it: the
+          window may move up to it (time jumps across heap entries). *)
+       t.floor_ab <- max t.floor_ab (bucket_of t t.time.(slot))
+     end);
     t.last_pop <- t.time.(slot);
     t.cm_valid <- false;
     (* Field reads stay valid until the next [add] or [pop]: recycling is
@@ -494,7 +529,7 @@ let cancel t slot =
   else begin
     (if t.hpos.(slot) = -2 then begin
        (* Wheel entry: walk its chain for the predecessor, then unlink. *)
-       let b = int_of_float (t.time.(slot) *. t.bw_inv) land nb_mask in
+       let b = int_of_float (t.time.(slot) *. t.bw_inv) land (t.nb - 1) in
        let prev = ref (-1) in
        let s = ref t.buckets.(b) in
        while !s <> slot do
@@ -514,7 +549,7 @@ let clear t =
     release t t.heap.(i)
   done;
   t.hsize <- 0;
-  for b = 0 to nb - 1 do
+  for b = 0 to t.nb - 1 do
     let s = ref t.buckets.(b) in
     while !s >= 0 do
       let nxt = t.bnext.(!s) in
@@ -524,9 +559,10 @@ let clear t =
     done;
     t.buckets.(b) <- -1
   done;
-  Array.fill t.bits 0 bits_len 0;
-  Array.fill t.summary 0 summary_len 0;
+  Array.fill t.bits 0 (Array.length t.bits) 0;
+  Array.fill t.summary 0 (Array.length t.summary) 0;
   t.wcount <- 0;
+  t.last_pop <- 0.0;
   t.cm_valid <- false
 
 let to_sorted_list t =
@@ -535,7 +571,7 @@ let to_sorted_list t =
     let s = t.heap.(i) in
     out := (t.time.(s), t.seq.(s), t.kind.(s), t.arg.(s)) :: !out
   done;
-  for b = 0 to nb - 1 do
+  for b = 0 to t.nb - 1 do
     let s = ref t.buckets.(b) in
     while !s >= 0 do
       out := (t.time.(!s), t.seq.(!s), t.kind.(!s), t.arg.(!s)) :: !out;
@@ -549,3 +585,4 @@ let to_sorted_list t =
     !out
 
 let capacity t = Array.length t.time
+let buckets t = t.nb

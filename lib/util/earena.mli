@@ -11,8 +11,9 @@
     and the next event is found by a bitmap scan from the frontier;
     everything else (far future, huge or negative times) takes the
     O(log n) heap.  The wheel narrows its bucket width adaptively when
-    chains pile up, so ordering stays {e exact} — the wheel is an index,
-    never an approximation.
+    chains pile up — doubling its bucket count as well when it holds more
+    entries than buckets, so the window keeps its span — and ordering
+    stays {e exact}: the wheel is an index, never an approximation.
 
     [kind]/[arg] are opaque ints owned by the caller (the simulator's
     event-kind table).  Slots are recycled through a free list, so a
@@ -63,3 +64,8 @@ val to_sorted_list : t -> (float * int * int * int) list
 
 val capacity : t -> int
 (** Current slot capacity (sizing diagnostics). *)
+
+val buckets : t -> int
+(** Current wheel bucket count: 16384 at creation, doubled by each
+    rebuild that finds the wheel densely populated (sizing
+    diagnostics). *)

@@ -191,3 +191,26 @@ let pp fmt s =
 let to_string s = Format.asprintf "%a" pp s
 
 let hash (s : t) = Array.fold_left (fun h w -> (h * 1_000_003) lxor w) 0 s
+
+(* In-place bitsets: the same word layout as [t], sized once for the
+   universe and mutated bit by bit, so accumulating a member costs one
+   word write instead of an array copy.  Never canonical — [to_set]
+   trims a copy. *)
+module Bits = struct
+  type set = t
+  type t = int array
+
+  let create ~n = Array.make (max 1 (((n - 1) / word) + 1)) 0
+
+  let add b p =
+    let i = p / word and m = 1 lsl (p mod word) in
+    let w = b.(i) in
+    w land m = 0
+    && begin
+         b.(i) <- w lor m;
+         true
+       end
+
+  let meets b (s : set) = not (disjoint b s)
+  let to_set b : set = trim (Array.copy b)
+end

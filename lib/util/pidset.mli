@@ -88,3 +88,23 @@ val to_string : t -> string
 
 val hash : t -> int
 (** A hash usable as a deterministic noise-draw coordinate. *)
+
+(** In-place sender bitsets for hot-path accumulation: a member is added
+    with one word write instead of copying an immutable set.  Sized once
+    for a universe of [n] pids; {!Bits.to_set} takes a canonical
+    snapshot. *)
+module Bits : sig
+  type set := t
+  type t
+
+  val create : n:int -> t
+  (** The empty bitset over [{0, ..., n-1}]. *)
+
+  val add : t -> Pid.t -> bool
+  (** Set the member's bit in place; whether it was newly set. *)
+
+  val meets : t -> set -> bool
+  (** Whether the two share a member ([not (disjoint ...)]). *)
+
+  val to_set : t -> set
+end

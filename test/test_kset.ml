@@ -2,7 +2,8 @@
    validity / agreement / termination across seeds, crash patterns and
    oracle behaviours; the §3.2 oracle-efficiency and zero-degradation
    claims; interaction with weaker/stronger oracles; qcheck randomized
-   sweeps. *)
+   sweeps; golden executions of this algorithm and of Consensus_s whose
+   counts and decision lists pin the keyed-index summaries exactly. *)
 
 open Setagree_util
 open Setagree_dsys
@@ -273,6 +274,76 @@ let qcheck_validity_only_proposed =
       let o = run_kset ~seed ~z:2 ~k:2 () in
       List.for_all (fun (_, v, _, _) -> v >= 100 && v < 107) (Kset.decisions o.handle))
 
+(* --- Golden executions ---------------------------------------------
+
+   n = 128, t = 63, two crashes in [0, 20], stormy oracle with gst 10.
+   Event and message counts and the decision list (pid, value, round and
+   time, the time printed exactly) were recorded from the envelope-folding
+   implementation; a summary that answers any quorum question differently
+   changes some round's aux or estimate and moves them. *)
+
+let golden_n = 128
+let golden_t = 63
+
+let golden_sim seed =
+  let sim = Sim.create ~horizon:5000.0 ~n:golden_n ~t:golden_t ~seed () in
+  Sim.install_crashes sim
+    (Crash.generate
+       (Crash.Exactly { crashes = 2; window = (0.0, 20.0) })
+       ~n:golden_n ~t:golden_t
+       (Rng.split_named (Sim.rng sim) "crash"));
+  sim
+
+let decisions_digest ds =
+  List.map (fun (p, v, r, tm) -> Printf.sprintf "%d:%d:%d:%h" p v r tm) ds
+  |> String.concat ";" |> Digest.string |> Digest.to_hex
+
+let check_golden label ~events ~msgs ~decided ~digest (o : Sim.outcome) m ds =
+  check_int (label ^ " events") events o.Sim.events;
+  check_int (label ^ " messages") msgs m;
+  check_int (label ^ " deciders") decided (List.length ds);
+  Alcotest.(check string) (label ^ " decision list") digest (decisions_digest ds)
+
+let test_golden_kset () =
+  List.iter
+    (fun (seed, events, msgs, decided, digest) ->
+      let sim = golden_sim seed in
+      let omega, _ = Oracle.omega_z sim ~z:2 ~behavior:(Behavior.stormy ~gst:10.0) () in
+      let proposals = Array.init golden_n (fun i -> 100 + i) in
+      let h = Kset.install sim ~omega ~proposals () in
+      let o = Sim.run ~stop_when:(fun () -> Kset.all_correct_decided h) sim in
+      check_golden (Printf.sprintf "kset seed %d" seed) ~events ~msgs ~decided ~digest o
+        (Kset.messages_sent h) (Kset.decisions h);
+      check_int "rounds" 6 (Kset.max_round h))
+    [
+      (1, 189_454, 211_072, 126, "b14a7197cced4eca95a4a30e0858dd15");
+      (2, 189_873, 211_456, 127, "862402278684ac76695ba249298d23c1");
+    ]
+
+(* Consensus_s rotates its coordinator through the two crashed pids'
+   rounds, so n = 64 keeps the run short; same crash and oracle shape. *)
+let test_golden_consensus_s () =
+  List.iter
+    (fun (seed, events, msgs, decided, digest) ->
+      let n = 64 and t = 31 in
+      let sim = Sim.create ~horizon:5000.0 ~n ~t ~seed () in
+      Sim.install_crashes sim
+        (Crash.generate
+           (Crash.Exactly { crashes = 2; window = (0.0, 20.0) })
+           ~n ~t
+           (Rng.split_named (Sim.rng sim) "crash"));
+      let suspector, _ = Oracle.es_x sim ~x:n ~behavior:(Behavior.stormy ~gst:10.0) () in
+      let proposals = Array.init n (fun i -> 100 + i) in
+      let h = Consensus_s.install sim ~suspector ~proposals () in
+      let o = Sim.run ~stop_when:(fun () -> Consensus_s.all_correct_decided h) sim in
+      check_golden (Printf.sprintf "consensus_s seed %d" seed) ~events ~msgs ~decided ~digest o
+        (Consensus_s.messages_sent h) (Consensus_s.decisions h);
+      check_int "rounds" 65 (Consensus_s.max_round h))
+    [
+      (1, 261_258, 266_368, 62, "e0127159000f3848e20db7351bc0e1f8");
+      (2, 261_095, 266_432, 62, "55ab9d344cf52257025e8f0ab2aa86c8");
+    ]
+
 let () =
   Alcotest.run "kset"
     [
@@ -305,6 +376,11 @@ let () =
           Alcotest.test_case "consensus over lossy links" `Quick test_consensus_over_lossy_links;
           Alcotest.test_case "crash_now bound" `Quick test_crash_now_respects_bound;
           Alcotest.test_case "lemma 2 invariant" `Quick test_lemma2_invariant;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "kset n=128 seeds 1, 2" `Quick test_golden_kset;
+          Alcotest.test_case "consensus_s n=64 seeds 1, 2" `Quick test_golden_consensus_s;
         ] );
       ( "properties",
         List.map (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 42 |])) [ qcheck_agreement; qcheck_validity_only_proposed ]

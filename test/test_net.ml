@@ -192,33 +192,65 @@ let test_cursor_recv_since () =
     (List.map (fun e -> e.Net.payload) (Net.recv_since net 1 ~cursor:0))
 
 let test_keyed_index_matches_filters () =
-  (* The delivery-time keyed index must agree with the old rescan-the-inbox
-     accessors, including order. *)
+  (* The delivery-time keyed index must agree with a fold over the inbox:
+     count, distinct senders and summary, with every copy duplicated by a
+     fault spec (the summary must ignore the copies). *)
   let sim = mk ~seed:9 () in
-  let net : int Net.t =
-    Net.create sim ~delay:(Delay.Uniform (0.1, 3.0)) ~classify:(fun m -> m mod 2) ()
+  Sim.set_faults sim
+    { Faults.none with Faults.links = [ Faults.link ~dup:1.0 ~from:0.0 ~until:1000.0 () ] };
+  let firsts =
+    {
+      Net.empty = (fun () -> []);
+      add = (fun acc ~src m -> List.sort compare ((src, m) :: acc));
+    }
   in
-  for i = 1 to 40 do
-    Net.send net ~src:(i mod 4) ~dst:4 i
+  let net : (int, (Pid.t * int) list) Net.net =
+    Net.create_keyed sim ~delay:(Delay.Uniform (0.1, 3.0)) ~classify:(fun m -> m mod 2)
+      ~summary:firsts ()
+  in
+  (* One payload per sender and key, as round-based protocols send. *)
+  for src = 0 to 3 do
+    Net.send net ~src ~dst:4 (10 * src);
+    Net.send net ~src ~dst:4 ((10 * src) + 1)
   done;
   ignore (Sim.run sim);
+  let inbox = Net.inbox net 4 in
+  check_int "every copy duplicated" 16 (List.length inbox);
   List.iter
     (fun key ->
-      let f (e : int Net.envelope) = e.payload mod 2 = key in
-      check_int "count" (Net.recv_count net 4 f) (Net.keyed_count net 4 key);
-      check "senders" true
-        (Pidset.equal (Net.distinct_senders net 4 f) (Net.keyed_senders net 4 key));
-      Alcotest.(check (list int)) "envelopes in delivery order"
-        (List.map (fun e -> e.Net.payload) (Net.recv_filter net 4 f))
-        (List.map (fun e -> e.Net.payload) (Net.keyed_envs net 4 key)))
+      let mine = List.filter (fun (e : int Net.envelope) -> e.payload mod 2 = key) inbox in
+      check_int "count (copies included)" (List.length mine) (Net.keyed_count net 4 key);
+      let senders =
+        List.fold_left (fun acc (e : int Net.envelope) -> Pidset.add e.src acc) Pidset.empty mine
+      in
+      check "senders" true (Pidset.equal senders (Net.keyed_senders net 4 key));
+      check_int "nsenders" (Pidset.cardinal senders) (Net.keyed_nsenders net 4 key);
+      Alcotest.(check (list (pair int int)))
+        "summary = first payload per sender"
+        (List.sort_uniq compare (List.map (fun (e : int Net.envelope) -> (e.src, e.payload)) mine))
+        (Net.keyed_summary net 4 key);
+      check "meets a sender" true (Net.keyed_meets net 4 key (Pidset.singleton 2));
+      check "misses a non-sender" false (Net.keyed_meets net 4 key (Pidset.singleton 4)))
     [ 0; 1 ];
   check_int "absent key count" 0 (Net.keyed_count net 4 7);
   check "absent key senders" true (Pidset.is_empty (Net.keyed_senders net 4 7));
-  check_int "absent key envs" 0 (List.length (Net.keyed_envs net 4 7))
+  check_int "absent key summary" 0 (List.length (Net.keyed_summary net 4 7));
+  (* Retiring key 0: it reads empty, and a late delivery skips the index
+     while still reaching the mailbox. *)
+  Net.retire net 4 ~below:1;
+  Net.send net ~src:4 ~dst:4 40;
+  ignore (Sim.run sim);
+  check_int "late copies delivered" 18 (List.length (Net.inbox net 4));
+  check_int "retired count" 0 (Net.keyed_count net 4 0);
+  check "retired senders" true (Pidset.is_empty (Net.keyed_senders net 4 0));
+  check_int "retired summary" 0 (List.length (Net.keyed_summary net 4 0));
+  check_int "live key untouched" 8 (Net.keyed_count net 4 1)
 
 let test_keyed_index_with_retain_false () =
   let sim = mk () in
-  let net : int Net.t = Net.create sim ~retain:false ~classify:(fun m -> m) () in
+  let net : int Net.t =
+    Net.create_keyed sim ~retain:false ~classify:(fun m -> m) ~summary:Net.counts_only ()
+  in
   Net.send net ~src:0 ~dst:1 5;
   Net.send net ~src:2 ~dst:1 5;
   ignore (Sim.run sim);

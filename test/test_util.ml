@@ -398,6 +398,54 @@ let earena_sorted_qcheck =
       popped = expected
       && List.map (fun (tm, _, _, arg) -> (tm, arg)) snapshot = expected)
 
+(* A wheel that must grow: 200k entries packed into one time unit (about
+   50 per initial bucket), a tenth of them tied with their predecessor and
+   a fifth cancelled.  Pops must follow the (time, seq) order that
+   [to_sorted_list] predicted, through the rebuilds that double the
+   bucket count; a second wave added mid-drain checks the grown wheel. *)
+let test_earena_growth_differential () =
+  let a = Earena.create () in
+  let rng = Rng.create 17 in
+  let next_arg = ref 0 in
+  let wave ~from =
+    let prev = ref from and slots = ref [] in
+    for i = 1 to 200_000 do
+      let time =
+        if i mod 10 = 0 then !prev else from +. (float_of_int (Rng.int rng 1_000_000) /. 1e6)
+      in
+      prev := time;
+      slots := Earena.add a ~time ~kind:(i land 7) ~arg:!next_arg :: !slots;
+      incr next_arg
+    done;
+    List.iteri (fun i s -> if i mod 5 = 0 then check "cancel live" true (Earena.cancel a s)) !slots
+  in
+  let pop_matching expected count =
+    let rec go exp k =
+      if k = 0 then exp
+      else
+        match exp with
+        | [] -> Alcotest.fail "arena outlived its snapshot"
+        | (tm, sq, kind, arg) :: rest ->
+            let s = Earena.pop a in
+            if
+              s < 0 || Earena.time_of a s <> tm || Earena.seq_of a s <> sq
+              || Earena.kind_of a s <> kind || Earena.arg_of a s <> arg
+            then Alcotest.failf "pop out of (time, seq) order at seq %d" sq;
+            go rest (k - 1)
+    in
+    go expected count
+  in
+  wave ~from:0.0;
+  check_int "live entries" 160_000 (Earena.length a);
+  let rest = pop_matching (Earena.to_sorted_list a) 80_000 in
+  ignore rest;
+  check "bucket count doubled" true (Earena.buckets a > 16384);
+  wave ~from:0.5;
+  check "still >= 100k live" true (Earena.length a >= 100_000);
+  let snapshot = Earena.to_sorted_list a in
+  let left = pop_matching snapshot (List.length snapshot) in
+  check "drained" true (left = [] && Earena.is_empty a)
+
 (* ------------------------------------------------------------------ *)
 (* Combi                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -1179,6 +1227,7 @@ let () =
           Alcotest.test_case "tie = insertion order" `Quick test_earena_tie_insertion_order;
           Alcotest.test_case "cancel" `Quick test_earena_cancel;
           Alcotest.test_case "grow + recycle" `Quick test_earena_grow_and_recycle;
+          Alcotest.test_case "wheel growth differential" `Quick test_earena_growth_differential;
           QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| 42 |])
             earena_sorted_qcheck;
