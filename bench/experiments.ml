@@ -873,13 +873,12 @@ let e14 () =
     [ 0.0; 0.1; 0.3; 0.5 ]
 
 (* ------------------------------------------------------------------ *)
-(* SCHED — engine scaling sweep: the arena/condition engine vs the     *)
-(* legacy re-poll scheduler and the legacy closure-per-event queue on  *)
-(* growing kset systems, n = 8 .. 1024.  All engines produce identical *)
-(* executions (test/test_sched.ml pins the differentials); this        *)
-(* experiment records what the hot-path overhaul buys and gates the    *)
-(* allocation profile: bounded minor words per event on protocol runs, *)
-(* zero promoted words per event on steady-state timer probes.         *)
+(* SCHED — engine scaling sweep: the arena/condition engine on growing *)
+(* kset systems, n = 8 .. 1024 (test/test_sched.ml pins its executions *)
+(* to golden fingerprints).  This experiment records throughput and    *)
+(* gates the allocation profile: bounded minor words per event on      *)
+(* protocol runs, zero promoted words per event on steady-state timer  *)
+(* probes.                                                             *)
 (* ------------------------------------------------------------------ *)
 
 (* Allocation gates (words per event).  Kset runs allocate envelopes,
@@ -896,102 +895,89 @@ let sched_minor_words_bound nn = Float.max 1024.0 (16.0 *. float_of_int nn)
 let sched_probe_minor_bound = 16.0
 
 let sched () =
-  section "SCHED  Engine scaling sweep: arena/cond vs legacy poll vs legacy queue";
+  section "SCHED  Engine scaling sweep: arena/cond engine, n = 8 .. 1024";
   (* BENCH_SCHED_SMOKE: trimmed sweep for CI (small n, one seed); the
      steady-state GC probes run in both modes, so CI fails on an
      allocation regression, not just on a crash. *)
   let smoke = Sys.getenv_opt "BENCH_SCHED_SMOKE" <> None in
   let sizes = if smoke then [ 8; 16; 32 ] else [ 8; 16; 32; 64; 128; 256; 512; 1024 ] in
-  (* The legacy engines exist as differential baselines; measuring them
-     past n = 128 only burns time (the poll scheduler is quadratic in
-     waiters), so the big sizes run the production engine alone. *)
-  let mode_cap = 128 in
-  let seeds_for nn = if smoke || nn > mode_cap then [ 1 ] else [ 1; 2; 3 ] in
-  let modes_for nn =
-    if nn <= mode_cap then
-      [ ("cond", false, false); ("legacy_poll", true, false); ("legacy_queue", false, true) ]
-    else [ ("cond", false, false) ]
-  in
-  (* Storm (pre-gst) rounds are pure churn at large n — n^2 messages per
-     round that decide nothing.  Stabilize the oracle early for the big
-     sizes so the n = 1024 job spends its wall clock on useful rounds. *)
-  let gst_for nn = if nn > mode_cap then 10.0 else gst in
+  (* Sizes past n = 128 are long runs: one seed each.  Storm (pre-gst)
+     rounds are pure churn at large n — n^2 messages per round that
+     decide nothing — so the oracle also stabilizes early there, and the
+     n = 1024 job spends its wall clock on useful rounds. *)
+  let large nn = nn > 128 in
+  let seeds_for nn = if smoke || large nn then [ 1 ] else [ 1; 2; 3 ] in
+  let gst_for nn = if large nn then 10.0 else gst in
   let jobs =
     List.concat_map
       (fun nn ->
         let tb = (nn / 2) - 1 in
-        List.concat_map
-          (fun (mode, legacy_poll, legacy_queue) ->
-            List.map
-              (fun seed ->
-                Runner.job ~exp:"sched" ~seed
-                  ~label:(Printf.sprintf "n=%d mode=%s seed=%d" nn mode seed)
-                  ~params:
+        List.map
+          (fun seed ->
+            Runner.job ~exp:"sched" ~seed
+              ~label:(Printf.sprintf "n=%d mode=cond seed=%d" nn seed)
+              ~params:
+                [
+                  ("n", Json.Int nn);
+                  ("t", Json.Int tb);
+                  ("mode", Json.String "cond");
+                ]
+              ~replay:
+                (fdkit_replay "kset -n %d -t %d -z 2 -k 2 --crashes 2 --gst %g --seed %d"
+                   nn tb (gst_for nn) seed)
+              (fun () ->
+                let sim =
+                  Sim.create ~horizon:3000.0 ~max_events:200_000_000 ~n:nn ~t:tb ~seed ()
+                in
+                let rng = Rng.split_named (Sim.rng sim) "crash" in
+                Sim.install_crashes sim
+                  (Crash.generate
+                     (Crash.Exactly { crashes = 2; window = (0.0, 20.0) })
+                     ~n:nn ~t:tb rng);
+                let omega, _ =
+                  Oracle.omega_z sim ~z:2 ~behavior:(Behavior.stormy ~gst:(gst_for nn)) ()
+                in
+                let proposals = Array.init nn (fun i -> 100 + i) in
+                let h = Kset.install sim ~omega ~proposals () in
+                let g0 = Gc.quick_stat () in
+                let t0 = Unix.gettimeofday () in
+                let o = Sim.run ~stop_when:(fun () -> Kset.all_correct_decided h) sim in
+                let wall = Unix.gettimeofday () -. t0 in
+                let g1 = Gc.quick_stat () in
+                let ev = float_of_int (max o.events 1) in
+                let minor_pe = (g1.Gc.minor_words -. g0.Gc.minor_words) /. ev in
+                let promoted_pe = (g1.Gc.promoted_words -. g0.Gc.promoted_words) /. ev in
+                let v =
+                  Check.k_set_agreement sim ~k:2 ~proposals
+                    ~decisions:(Kset.decisions h)
+                in
+                if minor_pe > sched_minor_words_bound nn then
+                  failwith
+                    (Printf.sprintf "GC gate: %.0f minor words/event (bound %.0f)"
+                       minor_pe (sched_minor_words_bound nn));
+                let pe = Sim.pred_evals sim in
+                Runner.body
+                  ~notes:(if Check.verdict_ok v then [] else v.Check.notes)
+                  ~metrics:
                     [
-                      ("n", Json.Int nn);
-                      ("t", Json.Int tb);
-                      ("mode", Json.String mode);
+                      ("rounds", float_of_int (Kset.max_round h));
+                      ("events", float_of_int o.events);
+                      ("pred_evals", float_of_int pe);
+                      ("signals", float_of_int (Sim.cond_signals sim));
+                      ("wakeups", float_of_int (Sim.wakeups sim));
+                      ("wall_s", wall);
+                      ("events_per_s", float_of_int o.events /. Float.max wall 1e-9);
+                      ("minor_words_per_event", minor_pe);
+                      ("promoted_words_per_event", promoted_pe);
                     ]
-                  ~replay:
-                    (fdkit_replay "kset -n %d -t %d -z 2 -k 2 --crashes 2 --gst %g --seed %d%s%s"
-                       nn tb (gst_for nn) seed
-                       (if legacy_poll then " --legacy-poll" else "")
-                       (if legacy_queue then " --legacy-queue" else ""))
-                  (fun () ->
-                    let sim =
-                      Sim.create ~horizon:3000.0 ~max_events:200_000_000 ~legacy_poll
-                        ~legacy_queue ~n:nn ~t:tb ~seed ()
-                    in
-                    let rng = Rng.split_named (Sim.rng sim) "crash" in
-                    Sim.install_crashes sim
-                      (Crash.generate
-                         (Crash.Exactly { crashes = 2; window = (0.0, 20.0) })
-                         ~n:nn ~t:tb rng);
-                    let omega, _ =
-                      Oracle.omega_z sim ~z:2 ~behavior:(Behavior.stormy ~gst:(gst_for nn)) ()
-                    in
-                    let proposals = Array.init nn (fun i -> 100 + i) in
-                    let h = Kset.install sim ~omega ~proposals () in
-                    let g0 = Gc.quick_stat () in
-                    let t0 = Unix.gettimeofday () in
-                    let o = Sim.run ~stop_when:(fun () -> Kset.all_correct_decided h) sim in
-                    let wall = Unix.gettimeofday () -. t0 in
-                    let g1 = Gc.quick_stat () in
-                    let ev = float_of_int (max o.events 1) in
-                    let minor_pe = (g1.Gc.minor_words -. g0.Gc.minor_words) /. ev in
-                    let promoted_pe = (g1.Gc.promoted_words -. g0.Gc.promoted_words) /. ev in
-                    let v =
-                      Check.k_set_agreement sim ~k:2 ~proposals
-                        ~decisions:(Kset.decisions h)
-                    in
-                    if minor_pe > sched_minor_words_bound nn then
-                      failwith
-                        (Printf.sprintf "GC gate: %.0f minor words/event (bound %.0f)"
-                           minor_pe (sched_minor_words_bound nn));
-                    let pe = Sim.pred_evals sim in
-                    Runner.body
-                      ~notes:(if Check.verdict_ok v then [] else v.Check.notes)
-                      ~metrics:
-                        [
-                          ("rounds", float_of_int (Kset.max_round h));
-                          ("events", float_of_int o.events);
-                          ("pred_evals", float_of_int pe);
-                          ("signals", float_of_int (Sim.cond_signals sim));
-                          ("wakeups", float_of_int (Sim.wakeups sim));
-                          ("wall_s", wall);
-                          ("events_per_s", float_of_int o.events /. Float.max wall 1e-9);
-                          ("minor_words_per_event", minor_pe);
-                          ("promoted_words_per_event", promoted_pe);
-                        ]
-                      ~row:
-                        (Printf.sprintf
-                           "%-5d %-12s %-5d  %-5s %-7d %-9d %-11d %-9.3f %-12.0f %-9.1f"
-                           nn mode seed (ok_str v) (Kset.max_round h) o.events pe wall
-                           (float_of_int o.events /. Float.max wall 1e-9)
-                           minor_pe)
-                      (Check.verdict_ok v)))
-              (seeds_for nn))
-          (modes_for nn))
+                  ~row:
+                    (Printf.sprintf
+                       "%-5d %-12s %-5d  %-5s %-7d %-9d %-11d %-9.3f %-12.0f %-9.1f"
+                       nn "cond" seed (ok_str v) (Kset.max_round h) o.events pe wall
+                       (float_of_int o.events /. Float.max wall 1e-9)
+                       minor_pe)
+                  (Check.verdict_ok v)))
+          (seeds_for nn))
       sizes
   in
   (* Steady-state probes: a warmed-up simulator running nothing but its
@@ -1072,17 +1058,6 @@ let sched () =
     | [] -> nan
     | l -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
   in
-  subsection "arena/cond engine vs legacy baselines (means across seeds)";
-  Printf.printf "%-5s  %-18s  %-16s  %-16s\n" "n" "pred-evals ratio" "vs legacy_poll"
-    "vs legacy_queue";
-  List.iter
-    (fun nn ->
-      if nn <= mode_cap then
-        Printf.printf "%-5d  %-18.1f  %-16.2f  %-16.2f\n" nn
-          (mean "legacy_poll" nn "pred_evals" /. mean "cond" nn "pred_evals")
-          (mean "legacy_poll" nn "wall_s" /. mean "cond" nn "wall_s")
-          (mean "legacy_queue" nn "wall_s" /. mean "cond" nn "wall_s"))
-    sizes;
   (* The recorded pre-overhaul baseline (ROADMAP item 2): the engine this
      PR replaced sustained ~118k events/s on the n = 128 cond
      configuration.  The artifact records today's throughput against it. *)

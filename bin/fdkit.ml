@@ -46,24 +46,8 @@ let horizon_arg =
 let behavior_of ~gst =
   if gst <= 0.0 then Behavior.perfect else Behavior.stormy ~gst
 
-let legacy_poll_arg =
-  Arg.(
-    value & flag
-    & info [ "legacy-poll" ]
-        ~doc:
-          "Use the legacy scheduler that re-evaluates every blocked predicate after \
-           every event (differential baseline; same executions, more work).")
-
-let legacy_queue_arg =
-  Arg.(
-    value & flag
-    & info [ "legacy-queue" ]
-        ~doc:
-          "Use the legacy closure-per-event queue instead of the flat event arena \
-           (differential baseline; same executions, more allocation).")
-
-let setup ?(legacy_poll = false) ~n ~t ~seed ~crashes ~horizon () =
-  let sim = Sim.create ~horizon ~legacy_poll ~n ~t ~seed () in
+let setup ~n ~t ~seed ~crashes ~horizon () =
+  let sim = Sim.create ~horizon ~n ~t ~seed () in
   let rng = Rng.split_named (Sim.rng sim) "crash" in
   Sim.install_crashes sim
     (Crash.generate
@@ -173,8 +157,8 @@ let () =
              else r.Rt_run.o_safety.Check.notes @ r.Rt_run.o_fd.Check.notes)
           ~metrics:r.Rt_run.o_metrics (Rt_run.ok r))
 
-let mk_params n t seed crashes gst horizon z k x y legacy_poll legacy_queue
-    adversarial variant trace faults backend =
+let mk_params n t seed crashes gst horizon z k x y adversarial variant trace faults
+    backend =
   {
     Protocol.n;
     t;
@@ -189,8 +173,6 @@ let mk_params n t seed crashes gst horizon z k x y legacy_poll legacy_queue
       (if crashes <= 0 then Crash.No_crashes
        else Crash.Exactly { crashes = min crashes t; window = (0.0, 20.0) });
     faults;
-    legacy_poll;
-    legacy_queue;
     adversarial;
     variant;
     trace;
@@ -225,9 +207,8 @@ let params_term ?(default_z = 1) ?(default_k = 1) ?(default_x = 2) ?(default_y =
   in
   Term.(
     const mk_params $ n_arg $ t_arg $ seed_arg $ crashes_arg $ gst_arg $ horizon_arg
-    $ z_arg $ k_arg $ x_arg $ y_arg $ legacy_poll_arg $ legacy_queue_arg
-    $ adversarial_arg $ variant_arg
-    $ trace_arg $ faults_arg $ backend_arg)
+    $ z_arg $ k_arg $ x_arg $ y_arg $ adversarial_arg $ variant_arg $ trace_arg
+    $ faults_arg $ backend_arg)
 
 let registry_doc () =
   Printf.sprintf "Protocols: %s." (String.concat ", " (Protocol.names ()))

@@ -287,12 +287,10 @@ let crashes_count = function
 let replay_command family (p : Protocol.params) =
   Printf.sprintf
     "dune exec bin/fdkit.exe -- run --protocol %s -n %d -t %d -z %d -k %d -x %d -y %d \
-     --crashes %d --gst %g --horizon %g --variant %s --seed %d%s%s"
+     --crashes %d --gst %g --horizon %g --variant %s --seed %d%s"
     family p.Protocol.n p.Protocol.t p.Protocol.z p.Protocol.k p.Protocol.x p.Protocol.y
     (crashes_count p.Protocol.crashes)
     p.Protocol.gst p.Protocol.horizon p.Protocol.variant p.Protocol.seed
-    ((if p.Protocol.legacy_poll then " --legacy-poll" else "")
-    ^ (if p.Protocol.legacy_queue then " --legacy-queue" else ""))
     (if p.Protocol.adversarial then " --adversarial" else "")
 
 let sim_body pk (p : Protocol.params) =

@@ -7,9 +7,7 @@ open Setagree_util
    kinds (fiber resume, timer re-arm, crash, batched network delivery)
    carry everything in the int [arg] and allocate nothing per event; the
    generic thunk kind backs the public [schedule]/[at] API and every cold
-   path.  [legacy_queue] routes resumes/timers/deliveries through thunk
-   events instead — the pre-arena engine, kept as a differential
-   baseline. *)
+   path. *)
 
 let k_thunk = 0 (* arg = thunk-table slot *)
 let k_resume = 1 (* arg = resume-table slot (pid + continuation) *)
@@ -21,10 +19,10 @@ let k_net = 4 (* arg = (row lsl 6) lor dispatcher id *)
    blocked predicate reads may have changed.  The scheduler re-evaluates a
    blocked fiber's predicate only when one of its subscribed conditions was
    signalled — except "poll" waiters (awaits subscribed to [Cond.poll],
-   e.g. oracle-reading waits), which are re-evaluated after every event,
-   reproducing the legacy fixpoint cadence for predicates with no signal
-   discipline.  Each condition keeps its subscriber list so the drain
-   visits only signalled waiters instead of scanning all of them. *)
+   e.g. oracle-reading waits), which are re-evaluated after every event:
+   the cadence for predicates with no signal discipline.  Each condition
+   keeps its subscriber list so the drain visits only signalled waiters
+   instead of scanning all of them. *)
 type cond = {
   c_owner : t;
   mutable c_pending : bool;
@@ -49,8 +47,6 @@ and t = {
   trace : Trace.t;
   horizon : float;
   max_events : int;
-  legacy_poll : bool;
-  legacy_queue : bool;
   (* Real-runtime mode: the simulator models one process of a distributed
      deployment.  [spawn] silently discards fibers of other pids (they run
      in their own domains, each with its own local simulator), [router]
@@ -99,11 +95,8 @@ and t = {
   (* Mirror of [Faults.is_none faults], kept in sync by [set_faults]: read
      once per send, so it must not cost the structural compares. *)
   mutable faults_none : bool;
-  (* All current waiters in registration order (live + not-yet-compacted
-     dead); the poll subset keeps its own ordered array. *)
-  mutable wall : waiter array;
-  mutable wall_len : int;
-  mutable wall_dead : int;
+  (* Poll waiters in registration order (live + not-yet-compacted dead);
+     every other waiter is reachable only from its conditions. *)
   mutable parr : waiter array;
   mutable parr_len : int;
   mutable parr_dead : int;
@@ -150,8 +143,8 @@ type _ Effect.t +=
 
 let nop () = ()
 
-let create ?(horizon = 1e6) ?(max_events = 10_000_000) ?(legacy_poll = false)
-    ?(legacy_queue = false) ?(trace_level = Trace.Default) ?local ~n ~t ~seed () =
+let create ?(horizon = 1e6) ?(max_events = 10_000_000) ?(trace_level = Trace.Default)
+    ?local ~n ~t ~seed () =
   if n < 2 then invalid_arg "Sim.create: n must be >= 2";
   if t < 0 || t >= n then invalid_arg "Sim.create: need 0 <= t < n";
   (match local with
@@ -165,8 +158,6 @@ let create ?(horizon = 1e6) ?(max_events = 10_000_000) ?(legacy_poll = false)
       trace = Trace.create ~level:trace_level ();
       horizon;
       max_events;
-      legacy_poll;
-      legacy_queue;
       local;
       router = None;
       inlets = Hashtbl.create 8;
@@ -192,9 +183,6 @@ let create ?(horizon = 1e6) ?(max_events = 10_000_000) ?(legacy_poll = false)
       stalled_until = Array.make n 0.0;
       faults = Faults.none;
       faults_none = true;
-      wall = [||];
-      wall_len = 0;
-      wall_dead = 0;
       parr = [||];
       parr_len = 0;
       parr_dead = 0;
@@ -238,8 +226,6 @@ let inlet t ~tag = Hashtbl.find_opt t.inlets tag
 let trace t = t.trace
 let now t = t.now
 let horizon t = t.horizon
-let legacy_poll t = t.legacy_poll
-let legacy_queue t = t.legacy_queue
 let pred_evals t = t.n_pred_evals
 let cond_signals t = t.n_signals
 let wakeups t = t.n_wakeups
@@ -373,7 +359,6 @@ let alive_at t time =
 let kill_waiter t w =
   if not w.w_dead then begin
     w.w_dead <- true;
-    t.wall_dead <- t.wall_dead + 1;
     t.live_waiters <- t.live_waiters - 1;
     if w.poll then begin
       t.poll_waiters <- t.poll_waiters - 1;
@@ -381,23 +366,11 @@ let kill_waiter t w =
     end
   end
 
-(* Compact as soon as a handful of dead entries accumulate: the arrays
-   are rescanned on every drain (the poll array on every event), so a few
-   dozen lingering dead waiters cost far more in scan time than the O(len)
-   compaction pass they trigger. *)
+(* Compact as soon as a handful of dead entries accumulate: the poll
+   array is rescanned on every event, so a few dozen lingering dead
+   waiters cost far more in scan time than the O(len) compaction pass
+   they trigger. *)
 let compact t =
-  if t.wall_dead > 4 && 2 * t.wall_dead > t.wall_len then begin
-    let keep = ref 0 in
-    for i = 0 to t.wall_len - 1 do
-      let w = t.wall.(i) in
-      if not w.w_dead then begin
-        t.wall.(!keep) <- w;
-        incr keep
-      end
-    done;
-    t.wall_len <- !keep;
-    t.wall_dead <- 0
-  end;
   if t.parr_dead > 4 && 2 * t.parr_dead > t.parr_len then begin
     let keep = ref 0 in
     for i = 0 to t.parr_len - 1 do
@@ -430,8 +403,6 @@ let add_waiter t w =
     t.parr <- push_waiter_arr t.parr t.parr_len w;
     t.parr_len <- t.parr_len + 1
   end;
-  t.wall <- push_waiter_arr t.wall t.wall_len w;
-  t.wall_len <- t.wall_len + 1;
   t.live_waiters <- t.live_waiters + 1;
   List.iter (fun c -> c.c_waiters <- w :: c.c_waiters) w.conds
 
@@ -440,11 +411,8 @@ let do_crash t pid =
     t.crashed.(pid) <- true;
     t.crashed_pidset <- Pidset.add pid t.crashed_pidset;
     Trace.record t.trace ~time:t.now (Trace.Crash pid);
-    (* Abandoned forever: drop this process's blocked fibers. *)
-    for i = 0 to t.wall_len - 1 do
-      let w = t.wall.(i) in
-      if w.wpid = pid then kill_waiter t w
-    done;
+    (* This process's blocked fibers are abandoned forever; [drain] kills
+       each one the next time it is a candidate, before evaluating it. *)
     (* Undelivered messages to a dead process would be delivered into the
        void; drop them so the chooser never wastes a branch on them.
        In-flight messages *from* the crashed process stay. *)
@@ -500,16 +468,8 @@ let install_stalls t stalls =
 
 (* Resume a fiber's continuation, deferring past any active stall window.
    A stalled process is frozen, not crashed: its pending resumptions are
-   parked and replayed (in scheduling order) once the window closes. *)
-let rec resume_fiber t pid k =
-  if not t.crashed.(pid) then begin
-    if t.now < t.stalled_until.(pid) then
-      at t ~time:t.stalled_until.(pid) (fun () -> resume_fiber t pid k)
-    else Effect.Deep.continue k ()
-  end
-
-(* Arena path: the same stall-aware resume, re-queued as another
-   [k_resume] event (same slot) when the process is frozen. *)
+   re-queued as [k_resume] events (same slot) at the window's end, so
+   they replay in scheduling order once it closes. *)
 let dispatch_resume t slot =
   let pid = t.rs_pid.(slot) in
   if t.crashed.(pid) then rs_free t slot
@@ -616,20 +576,14 @@ let spawn t ~pid body =
           | Sleep d ->
               Some
                 (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  if d < 0.0 then invalid_arg "Sim.schedule: negative delay";
-                  if t.legacy_queue then
-                    schedule t ~delay:d (fun () -> resume_fiber t pid k)
-                  else
-                    add_event t ~time:(t.now +. d) ~kind:k_resume
-                      ~arg:(rs_alloc t pid (Obj.repr k)))
+                  if d < 0.0 then invalid_arg "Sim.sleep: negative duration";
+                  add_event t ~time:(t.now +. d) ~kind:k_resume
+                    ~arg:(rs_alloc t pid (Obj.repr k)))
           | Yield ->
               Some
                 (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  if t.legacy_queue then
-                    schedule t ~delay:0.0 (fun () -> resume_fiber t pid k)
-                  else
-                    add_event t ~time:t.now ~kind:k_resume
-                      ~arg:(rs_alloc t pid (Obj.repr k)))
+                  add_event t ~time:t.now ~kind:k_resume
+                    ~arg:(rs_alloc t pid (Obj.repr k)))
           | Await (conds, pred) ->
               List.iter
                 (fun c ->
@@ -653,24 +607,16 @@ let spawn t ~pid body =
 
 let ticker t ~every =
   if every <= 0.0 then invalid_arg "Sim.ticker";
-  if t.legacy_queue then begin
-    let rec arm time =
-      if time <= t.horizon then at t ~time (fun () -> arm (time +. every))
-    in
-    arm (t.now +. every)
-  end
-  else begin
-    let id = t.tk_len in
-    if Array.length t.tk_every = id then begin
-      let a' = Array.make (max 4 (2 * id)) 0.0 in
-      Array.blit t.tk_every 0 a' 0 id;
-      t.tk_every <- a'
-    end;
-    t.tk_every.(id) <- every;
-    t.tk_len <- id + 1;
-    let first = t.now +. every in
-    if first <= t.horizon then add_event t ~time:first ~kind:k_timer ~arg:id
-  end
+  let id = t.tk_len in
+  if Array.length t.tk_every = id then begin
+    let a' = Array.make (max 4 (2 * id)) 0.0 in
+    Array.blit t.tk_every 0 a' 0 id;
+    t.tk_every <- a'
+  end;
+  t.tk_every.(id) <- every;
+  t.tk_len <- id + 1;
+  let first = t.now +. every in
+  if first <= t.horizon then add_event t ~time:first ~kind:k_timer ~arg:id
 
 type stop_reason = Quiescent | Horizon | Budget | Stopped
 type outcome = { reason : stop_reason; events : int; end_time : float }
@@ -684,14 +630,15 @@ let pp_stop_reason fmt = function
 (* ---- Drain ----------------------------------------------------------
 
    Wake blocked fibers after an event.  Only waiters with a signalled
-   condition (or poll waiters, or everyone under [legacy_poll]) have their
-   predicate re-evaluated; candidates are gathered from the pending
-   conditions' subscriber lists plus the poll array — O(signalled + poll),
-   not O(all waiters) — then evaluated in registration (w_id) order, the
-   same order the historical all-waiter scan produced.  Waking a fiber can
-   enable others at the same instant (zero-time causality chains): its
-   signals arm the next round, so iterate to a fixpoint; the bound catches
-   accidental livelocks.  Fired fibers resume in registration order
+   condition (or poll waiters) have their predicate re-evaluated;
+   candidates are gathered from the pending conditions' subscriber lists
+   plus the poll array — O(signalled + poll), not O(all waiters) — then
+   evaluated in registration (w_id) order, so the wakeup order does not
+   depend on which condition a waiter was reached through.  A candidate
+   whose process has crashed is killed instead of evaluated.  Waking a
+   fiber can enable others at the same instant (zero-time causality
+   chains): its signals arm the next round, so iterate to a fixpoint; the
+   bound catches accidental livelocks.  Fired fibers resume in registration order
    (oldest first). *)
 
 let push_cand t w =
@@ -722,29 +669,22 @@ let drain t =
     if !rounds > 100_000 then failwith "Sim: zero-time livelock among waiters";
     progress := false;
     t.cand_len <- 0;
-    if t.legacy_poll then
-      for i = 0 to t.wall_len - 1 do
-        let w = t.wall.(i) in
-        if not w.w_dead then push_cand t w
-      done
-    else begin
-      for i = 0 to t.parr_len - 1 do
-        let w = t.parr.(i) in
-        if not w.w_dead then push_cand t w
-      done;
-      List.iter
-        (fun c ->
-          (* Single pass: push live subscribers, prune (rebuild) only when
-             dead ones are actually present — no allocation otherwise. *)
-          let dead = ref false in
-          List.iter
-            (fun w -> if w.w_dead then dead := true else push_cand t w)
-            c.c_waiters;
-          if !dead then
-            c.c_waiters <- List.filter (fun w -> not w.w_dead) c.c_waiters)
-        t.pending_conds;
-      sort_cands t
-    end;
+    for i = 0 to t.parr_len - 1 do
+      let w = t.parr.(i) in
+      if not w.w_dead then push_cand t w
+    done;
+    List.iter
+      (fun c ->
+        (* Single pass: push live subscribers, prune (rebuild) only when
+           dead ones are actually present — no allocation otherwise. *)
+        let dead = ref false in
+        List.iter
+          (fun w -> if w.w_dead then dead := true else push_cand t w)
+          c.c_waiters;
+        if !dead then
+          c.c_waiters <- List.filter (fun w -> not w.w_dead) c.c_waiters)
+      t.pending_conds;
+    sort_cands t;
     t.fired_len <- 0;
     for i = 0 to t.cand_len - 1 do
       let w = t.cand.(i) in
@@ -825,7 +765,7 @@ let run ?(stop_when = fun () -> false) (t : t) =
     incr events;
     (if
        t.live_waiters > 0
-       && (t.legacy_poll || t.poll_waiters > 0
+       && (t.poll_waiters > 0
           || match t.pending_conds with [] -> false | _ :: _ -> true)
      then drain t);
     if stop_when () then begin
@@ -881,7 +821,7 @@ let advance t ~upto =
   let maybe_drain () =
     if
       t.live_waiters > 0
-      && (t.legacy_poll || t.poll_waiters > 0
+      && (t.poll_waiters > 0
          || match t.pending_conds with [] -> false | _ :: _ -> true)
     then drain t
   in

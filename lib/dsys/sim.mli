@@ -8,17 +8,22 @@
     is driven by one seeded {!Setagree_util.Rng.t}: two runs with the same
     seed and parameters are identical.
 
+    {b One engine.}  Events live in a flat arena ({!Setagree_util.Earena}):
+    fiber resumptions, tickers, crashes and batched message deliveries are
+    kind-tagged integers dispatched without a closure per event; only the
+    public {!schedule}/{!at} API allocates a thunk.
+
     {b Wakeups are event-driven.}  A blocked fiber subscribes to
     {!cond}itions; substrates (channels, broadcast layers) signal the
     conditions whose observable state they changed, and only then is the
     fiber's predicate re-evaluated.  Predicates with no signal discipline
     (waits that read oracle state derived from the clock) subscribe to the
-    {!Cond.poll} condition and are
-    re-evaluated after every event — the legacy cadence.  Passing
-    [~legacy_poll:true] to {!create} restores the historical
-    evaluate-everything-after-every-event scheduler; by design both
-    schedulers produce identical executions (the differential qcheck suite
-    in [test/test_sched.ml] pins this down).
+    {!Cond.poll} condition and are re-evaluated after every event.  This
+    engine's executions are pinned by golden fingerprints in
+    [test/test_sched.ml]; each was recorded while the engines it replaced
+    (one re-evaluating every blocked predicate after every event, one
+    dispatching a closure per event) still existed and produced the same
+    execution.
 
     {b Crash semantics.}  A crash schedule is fixed before the run.  When a
     process crashes, none of its fibers is ever resumed again; events it had
@@ -35,8 +40,6 @@ type t
 val create :
   ?horizon:float ->
   ?max_events:int ->
-  ?legacy_poll:bool ->
-  ?legacy_queue:bool ->
   ?trace_level:Trace.level ->
   ?local:Pid.t ->
   n:int ->
@@ -49,19 +52,7 @@ val create :
     [max_events] (default [10_000_000]) bounds the run.  [trace_level]
     (default [Trace.Default]) gates what the run records into {!trace}:
     tracing only ever writes to the trace log, so the level cannot change
-    the execution (see {!Trace.level}).  [legacy_poll]
-    (default [false]) re-evaluates {e every} blocked predicate after every
-    event instead of only the signalled ones — the pre-condition-variable
-    scheduler.  It is a {b test-only escape hatch}: production code and the
-    protocols never set it; it exists solely as the differential baseline
-    that [test/test_sched.ml] compares the condition scheduler against.
-
-    [legacy_queue] (default [false]) routes fiber resumptions, tickers
-    and message deliveries through per-event closure thunks instead of
-    the flat event arena's kind-tagged dispatch, and disables delivery
-    batching in [Net] — the pre-arena engine.  Like [legacy_poll] it is a
-    {b test-only escape hatch}, the differential baseline pinning down
-    that the arena engine produces identical executions.
+    the execution (see {!Trace.level}).
 
     [local] (default [None]) puts the simulator in {e real-runtime} mode:
     it models exactly one process of a distributed deployment.  {!spawn}
@@ -80,13 +71,6 @@ val rng : t -> Rng.t
 val trace : t -> Trace.t
 val now : t -> float
 val horizon : t -> float
-
-val legacy_poll : t -> bool
-(** Whether this simulator runs the legacy re-poll-everything scheduler. *)
-
-val legacy_queue : t -> bool
-(** Whether this simulator runs the legacy closure-per-event queue (see
-    {!create}'s [legacy_queue]). *)
 
 (** {1 Real-runtime mode} *)
 
@@ -213,9 +197,8 @@ module Cond : sig
       another simulator. *)
 
   val poll : t -> cond
-  (** The built-in condition that subscribes a waiter to every event —
-      the legacy re-poll cadence, for predicates with no signal
-      discipline. *)
+  (** The built-in condition that subscribes a waiter to every event, for
+      predicates with no signal discipline. *)
 end
 
 (** {1 Process code (effects)} *)
@@ -227,8 +210,9 @@ val spawn : t -> pid:Pid.t -> (unit -> unit) -> unit
     crashed. *)
 
 val sleep : float -> unit
-(** Suspend the calling fiber for the given virtual duration.  Must be
-    called from fiber context. *)
+(** Suspend the calling fiber for the given virtual duration, which must
+    be [>= 0] (raises [Invalid_argument "Sim.sleep: negative duration"]
+    otherwise).  Must be called from fiber context. *)
 
 val yield : unit -> unit
 (** Reschedule the calling fiber at the same virtual instant (after pending
@@ -246,9 +230,8 @@ val at : t -> time:float -> (unit -> unit) -> unit
 val ticker : t -> every:float -> unit
 (** Install heartbeat events up to the horizon so that poll-subscribed
     predicates depending only on the clock (e.g. pull-based oracles) are
-    re-evaluated regularly.  On the arena engine a ticker is a single
-    self-re-arming event carrying only its period id — zero allocation
-    per tick. *)
+    re-evaluated regularly.  A ticker is a single self-re-arming event
+    carrying only its period id — zero allocation per tick. *)
 
 (** {2 Batched dispatch (substrate internals)}
 

@@ -2,8 +2,7 @@
    min-heap, both over struct-of-arrays slots.  One slot holds
    (time, seq, kind, arg); entries are ordered by (time, seq), seq being a
    monotonic insertion counter so that ties at one instant preserve
-   insertion order — the same contract the scheduler previously got from a
-   [Pqueue.t] of closure records.
+   insertion order (FIFO among same-time events).
 
    The point of the layout is the steady state: [add] recycles slots off a
    free list threaded through [arg], [pop] releases the popped slot back,

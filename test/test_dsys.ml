@@ -66,6 +66,17 @@ let test_negative_delay_rejected () =
     (try Sim.schedule sim ~delay:(-1.0) (fun () -> ()); false
      with Invalid_argument _ -> true)
 
+let test_negative_sleep_rejected () =
+  (* The error names the call the fiber made, not an internal helper. *)
+  let sim = mk () in
+  let resumed = ref false in
+  Sim.spawn sim ~pid:0 (fun () ->
+      Sim.sleep (-1.0);
+      resumed := true);
+  Alcotest.check_raises "negative sleep"
+    (Invalid_argument "Sim.sleep: negative duration") (fun () -> ignore (Sim.run sim));
+  check "fiber not resumed" false !resumed
+
 let test_sleep_advances_time () =
   let sim = mk () in
   let wake = ref 0.0 in
@@ -389,6 +400,7 @@ let () =
           Alcotest.test_case "absolute at" `Quick test_at_absolute;
           Alcotest.test_case "at past" `Quick test_at_past_rejected;
           Alcotest.test_case "negative delay" `Quick test_negative_delay_rejected;
+          Alcotest.test_case "negative sleep" `Quick test_negative_sleep_rejected;
           Alcotest.test_case "horizon" `Quick test_horizon_stops;
           Alcotest.test_case "budget" `Quick test_budget_stops;
           Alcotest.test_case "stop_when" `Quick test_stop_when;

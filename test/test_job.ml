@@ -140,8 +140,64 @@ let qcheck_canonical_text_roundtrip =
 let test_canonical_pinned () =
   let spec = Job.of_flags ~kind:`Campaign ~seeds:4 ~protocol:"kset" Protocol.default in
   Alcotest.(check string) "canonical bytes are stable"
-    "{\"kind\":\"campaign\",\"protocol\":\"kset\",\"seeds\":4,\"params\":{\"n\":8,\"t\":3,\"seed\":1,\"z\":1,\"k\":1,\"x\":2,\"y\":1,\"gst\":40.0,\"horizon\":0.0,\"crashes\":{\"kind\":\"exactly\",\"crashes\":2,\"window\":[0.0,20.0]},\"faults\":{\"links\":[],\"partitions\":[],\"stalls\":[],\"crashes\":{\"kind\":\"none\"},\"adversary\":\"\"},\"legacy_poll\":false,\"legacy_queue\":false,\"adversarial\":false,\"variant\":\"es\",\"trace\":\"default\",\"backend\":\"sim\"}}"
+    "{\"kind\":\"campaign\",\"protocol\":\"kset\",\"seeds\":4,\"params\":{\"n\":8,\"t\":3,\"seed\":1,\"z\":1,\"k\":1,\"x\":2,\"y\":1,\"gst\":40.0,\"horizon\":0.0,\"crashes\":{\"kind\":\"exactly\",\"crashes\":2,\"window\":[0.0,20.0]},\"faults\":{\"links\":[],\"partitions\":[],\"stalls\":[],\"crashes\":{\"kind\":\"none\"},\"adversary\":\"\"},\"adversarial\":false,\"variant\":\"es\",\"trace\":\"default\",\"backend\":\"sim\"}}"
     (Job.canonical spec)
+
+(* Specs written by builds that still had the legacy scheduler options
+   carry "legacy_poll" / "legacy_queue" keys in their params; a daemon
+   restarted across the upgrade replays such lines from its journal.
+   Those engines produced the same executions as the one that replaced
+   them, so the keys are ignored: the spec must load, validate and run
+   with the same signature as the spec without them. *)
+let with_legacy_keys b text =
+  match Strutil.find text ~sub:"\"adversarial\":" with
+  | None -> Alcotest.fail "no adversarial key to anchor on"
+  | Some i ->
+      String.sub text 0 i
+      ^ Printf.sprintf "\"legacy_poll\":%b,\"legacy_queue\":%b," b b
+      ^ String.sub text i (String.length text - i)
+
+let test_legacy_keys_still_load () =
+  let spec = Job.of_flags ~kind:`Campaign ~seeds:4 ~protocol:"kset" Protocol.default in
+  let signature s = Runner.signature (Job.execute ~jobs:1 s).Job.o_campaign in
+  let expected = signature spec in
+  List.iter
+    (fun b ->
+      let label = Printf.sprintf "legacy keys = %b" b in
+      let text = with_legacy_keys b (Job.canonical spec) in
+      check (label ^ ": keys present in the old text") true
+        (Strutil.contains text ~sub:"\"legacy_queue\"");
+      let old =
+        match Job.of_json (Json.of_string_exn text) with
+        | Ok s -> s
+        | Error e -> Alcotest.failf "%s: spec rejected: %s" label e
+      in
+      check (label ^ ": equal to the spec without them") true (Job.equal spec old);
+      Alcotest.(check string) (label ^ ": canonical drops them") (Job.canonical spec)
+        (Job.canonical old);
+      check (label ^ ": validates") true (Job.validate old = Ok ());
+      Alcotest.(check string) (label ^ ": same signature") expected (signature old);
+      (* The same spec as an accepted-but-unfinished journal line. *)
+      let dir = tmpdir (Printf.sprintf "legacy_%b" b) in
+      let line =
+        with_legacy_keys b
+          (Json.to_string ~minify:true (Serve.Recovery.accepted_entry ~id:3 spec))
+      in
+      let t = Journal.append_open ~fsync:false (Serve.journal_path dir) in
+      Journal.append t (Json.of_string_exn line);
+      Journal.append t (Serve.Recovery.state_entry ~id:3 "running");
+      Journal.close t;
+      let r = Serve.Recovery.load (Serve.journal_path dir) in
+      check_int (label ^ ": no journal line dropped") 0 r.Serve.Recovery.dropped_lines;
+      (match r.Serve.Recovery.pending with
+      | [ p ] ->
+          check_int (label ^ ": job id") 3 p.Serve.Recovery.p_id;
+          check (label ^ ": journal spec equal") true (Job.equal spec p.Serve.Recovery.p_spec);
+          Alcotest.(check string) (label ^ ": journal spec same signature") expected
+            (signature p.Serve.Recovery.p_spec)
+      | l -> Alcotest.failf "%s: %d pending jobs, expected 1" label (List.length l));
+      rm_rf dir)
+    [ false; true ]
 
 let test_of_flags_defaults () =
   (match Job.of_flags ~kind:`Chaos ~protocol:"" ~seeds:8 Protocol.default with
@@ -1120,6 +1176,7 @@ let () =
       ( "spec",
         [
           Alcotest.test_case "canonical pinned" `Quick test_canonical_pinned;
+          Alcotest.test_case "legacy keys still load" `Quick test_legacy_keys_still_load;
           Alcotest.test_case "of_flags defaults" `Quick test_of_flags_defaults;
           Alcotest.test_case "validate" `Quick test_validate;
         ]

@@ -189,66 +189,6 @@ let test_rng_mean_sanity () =
   check "uniform mean near 0.5" true (mean > 0.45 && mean < 0.55)
 
 (* ------------------------------------------------------------------ *)
-(* Pqueue                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_pqueue_basic () =
-  let q = Pqueue.create ~cmp:Int.compare in
-  check "empty" true (Pqueue.is_empty q);
-  Pqueue.push q 5;
-  Pqueue.push q 1;
-  Pqueue.push q 3;
-  check_int "length" 3 (Pqueue.length q);
-  Alcotest.(check (option int)) "peek min" (Some 1) (Pqueue.peek q);
-  Alcotest.(check (option int)) "pop 1" (Some 1) (Pqueue.pop q);
-  Alcotest.(check (option int)) "pop 3" (Some 3) (Pqueue.pop q);
-  Alcotest.(check (option int)) "pop 5" (Some 5) (Pqueue.pop q);
-  Alcotest.(check (option int)) "pop empty" None (Pqueue.pop q)
-
-let test_pqueue_clear () =
-  let q = Pqueue.create ~cmp:Int.compare in
-  Pqueue.push q 1;
-  Pqueue.clear q;
-  check "cleared" true (Pqueue.is_empty q)
-
-let test_pqueue_sorts () =
-  let rng = Rng.create 11 in
-  let q = Pqueue.create ~cmp:Int.compare in
-  let items = List.init 500 (fun _ -> Rng.int rng 10_000) in
-  List.iter (Pqueue.push q) items;
-  let rec drain acc = match Pqueue.pop q with None -> List.rev acc | Some v -> drain (v :: acc) in
-  Alcotest.(check (list int)) "heap sort" (List.sort compare items) (drain [])
-
-let test_pqueue_stability_by_cmp () =
-  (* (time, seq) ordering: ties on time break by seq. *)
-  let cmp (t1, s1) (t2, s2) =
-    let c = Float.compare t1 t2 in
-    if c <> 0 then c else Int.compare s1 s2
-  in
-  let q = Pqueue.create ~cmp in
-  Pqueue.push q (1.0, 2);
-  Pqueue.push q (1.0, 0);
-  Pqueue.push q (1.0, 1);
-  let v1 = Pqueue.pop q and v2 = Pqueue.pop q and v3 = Pqueue.pop q in
-  check "tie order" true (v1 = Some (1.0, 0) && v2 = Some (1.0, 1) && v3 = Some (1.0, 2))
-
-(* Sorted-snapshot property: a push-all / pop-until-empty cycle is a
-   sort, and [to_list] shows exactly that order without disturbing the
-   heap. *)
-let pqueue_sorted_qcheck =
-  QCheck.Test.make ~name:"pqueue pop sequence = sorted" ~count:200
-    QCheck.(list (int_bound 1000))
-    (fun items ->
-      let q = Pqueue.create ~cmp:Int.compare in
-      List.iter (Pqueue.push q) items;
-      let snapshot = Pqueue.to_list q in
-      let rec drain acc =
-        match Pqueue.pop q with None -> List.rev acc | Some v -> drain (v :: acc)
-      in
-      let popped = drain [] in
-      popped = List.sort compare items && snapshot = popped)
-
-(* ------------------------------------------------------------------ *)
 (* Earena                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -307,22 +247,19 @@ let test_earena_grow_and_recycle () =
   done;
   check_int "capacity stable in steady state" cap (Earena.capacity a)
 
-(* The arena against a sorted-list model AND against the legacy Pqueue it
-   replaced, under interleaved add / pop / cancel with slot recycling —
-   the schedule-preservation half of the engine overhaul in property
-   form. *)
+(* The arena against a sorted-list model under interleaved add / pop /
+   cancel with slot recycling — the schedule-preservation half of the
+   engine in property form. *)
 let earena_differential_qcheck =
   (* ops: 0-2 = add (time bucket), 3 = pop, 4 = cancel a random live slot *)
   let gen_ops = QCheck.Gen.(list_size (int_range 0 200) (int_bound 4)) in
-  QCheck.Test.make ~name:"earena = legacy pqueue under add/pop/cancel" ~count:200
+  QCheck.Test.make ~name:"earena = sorted-list model under add/pop/cancel" ~count:200
     (QCheck.make ~print:(fun l -> String.concat "," (List.map string_of_int l)) gen_ops)
     (fun ops ->
-      let cmp (t1, s1, _) (t2, s2, _) =
-        let c = Float.compare t1 t2 in
-        if c <> 0 then c else Int.compare s1 s2
-      in
       let a = Earena.create ~initial:4 () in
-      let q = Pqueue.create ~cmp in
+      (* model: pending (time, seq, arg) in pop order; (time, seq) is unique
+         and [compare] orders the triples by it *)
+      let model = ref [] in
       (* live: arena slot -> (time, seq, arg) as mirrored in the model *)
       let live = Hashtbl.create 16 in
       let seq = ref 0 in
@@ -335,15 +272,17 @@ let earena_differential_qcheck =
             let arg = !next_arg in
             incr next_arg;
             let slot = Earena.add a ~time ~kind:op ~arg in
-            Hashtbl.replace live slot (time, !seq, arg);
-            Pqueue.push q (time, !seq, arg);
+            let entry = (time, !seq, arg) in
+            Hashtbl.replace live slot entry;
+            model := List.merge compare [ entry ] !model;
             incr seq
           end
           else if op = 3 then begin
             let s = Earena.pop a in
-            match Pqueue.pop q with
-            | None -> if s <> -1 then ok := false
-            | Some (_, _, arg) ->
+            match !model with
+            | [] -> if s <> -1 then ok := false
+            | (_, _, arg) :: rest ->
+                model := rest;
                 if s = -1 || Earena.arg_of a s <> arg then ok := false
                 else Hashtbl.remove live s
           end
@@ -358,21 +297,17 @@ let earena_differential_qcheck =
                 let entry = Hashtbl.find live s in
                 if not (Earena.cancel a s) then ok := false;
                 Hashtbl.remove live s;
-                (* Remove from the model by rebuilding without the entry. *)
-                let rest = List.filter (fun e -> e <> entry) (Pqueue.to_list q) in
-                Pqueue.clear q;
-                List.iter (Pqueue.push q) rest
+                model := List.filter (fun e -> e <> entry) !model
           end)
         ops;
       (* Drain both: remaining schedules must agree exactly. *)
-      let rec drain_both () =
-        match Pqueue.pop q with
-        | None -> Earena.pop a = -1
-        | Some (_, _, arg) ->
+      let rec drain_both = function
+        | [] -> Earena.pop a = -1
+        | (_, _, arg) :: rest ->
             let s = Earena.pop a in
-            s <> -1 && Earena.arg_of a s = arg && drain_both ()
+            s <> -1 && Earena.arg_of a s = arg && drain_both rest
       in
-      !ok && drain_both ())
+      !ok && drain_both !model)
 
 let earena_sorted_qcheck =
   QCheck.Test.make ~name:"earena pop sequence = sorted" ~count:200
@@ -1210,16 +1145,6 @@ let () =
           Alcotest.test_case "exponential positive" `Quick test_rng_exponential_positive;
           Alcotest.test_case "pick/shuffle" `Quick test_rng_pick_shuffle;
           Alcotest.test_case "uniform mean" `Quick test_rng_mean_sanity;
-        ] );
-      ( "pqueue",
-        [
-          Alcotest.test_case "basic" `Quick test_pqueue_basic;
-          Alcotest.test_case "clear" `Quick test_pqueue_clear;
-          Alcotest.test_case "sorts" `Quick test_pqueue_sorts;
-          Alcotest.test_case "tie-break" `Quick test_pqueue_stability_by_cmp;
-          QCheck_alcotest.to_alcotest
-            ~rand:(Random.State.make [| 42 |])
-            pqueue_sorted_qcheck;
         ] );
       ( "earena",
         [
