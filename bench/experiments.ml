@@ -1058,11 +1058,6 @@ let sched () =
     | [] -> nan
     | l -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
   in
-  (* The recorded pre-overhaul baseline (ROADMAP item 2): the engine this
-     PR replaced sustained ~118k events/s on the n = 128 cond
-     configuration.  The artifact records today's throughput against it. *)
-  let baseline_n128 = 118_000.0 in
-  let n128 = mean "cond" 128 "events_per_s" in
   let gate_json =
     Json.Obj
       [
@@ -1099,20 +1094,14 @@ let sched () =
                          Json.Float (mean "cond" nn "minor_words_per_event") );
                      ] ))
                sizes) );
-        ("baseline_n128_events_per_s", Json.Float baseline_n128);
-        ( "speedup_vs_recorded_baseline_n128",
-          if Float.is_nan n128 then Json.Null else Json.Float (n128 /. baseline_n128) );
       ]
   in
-  (match Runner.campaign_json c with
+  match Runner.campaign_json c with
   | Json.Obj fields ->
       Json.write_file
         (Filename.concat "_results" "BENCH_sched.json")
         (Json.Obj (fields @ [ ("gate", gate_json) ]))
-  | _ -> ());
-  if not (Float.is_nan n128) then
-    Printf.printf "n=128 cond: %.0f events/s = %.1fx the recorded pre-overhaul baseline (%.0f)\n"
-      n128 (n128 /. baseline_n128) baseline_n128
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* OBS — tracing overhead: the observability layer must be close to    *)

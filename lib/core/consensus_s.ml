@@ -65,7 +65,7 @@ let install sim ~(suspector : Iface.suspector) ~proposals ?(delay = Delay.defaul
     | Aux { r; _ } -> key_aux r
   in
   let net =
-    Net.create_keyed sim ~tag:"cons_s" ~delay ~retain:false ~classify ~summary:tally ()
+    Net.create_keyed sim ~tag:"cons_s" ~delay ~classify ~summary:tally ()
   in
   let rb = Rbcast.create sim ~tag:"cons_s.dec" ~delay () in
   let t =

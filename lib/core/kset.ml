@@ -130,10 +130,7 @@ let install sim ~omega ~proposals ?(delay = Delay.default) ?(step = 0.05)
     | Phase1 { r; _ } -> key_p1 r
     | Phase2 { r; _ } -> key_p2 r
   in
-  let net =
-    Net.create_keyed sim ~tag:"kset" ~delay ~retain:false ?loss ~classify
-      ~summary:(tally ~n) ()
-  in
+  let net = Net.create_keyed sim ~tag:"kset" ~delay ?loss ~classify ~summary:(tally ~n) () in
   let rb = Rbcast.create sim ~tag:"kset.dec" ~delay ?stagger:decision_stagger ?loss () in
   let t =
     {

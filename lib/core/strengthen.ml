@@ -88,7 +88,7 @@ type hb = { count : int; suspicions : Pidset.t }
 let install_mp sim ~(suspector : Iface.suspector) ~querier ?(step = 1.0)
     ?(delay = Delay.default) () =
   let n = Sim.n sim in
-  let net : hb Net.t = Net.create sim ~tag:"strengthen.hb" ~delay ~retain:false () in
+  let net : hb Net.t = Net.create sim ~tag:"strengthen.hb" ~delay () in
   (* latest.(i).(j): the freshest heartbeat p_i received from p_j. *)
   let latest = Array.init n (fun _ -> Array.make n { count = 0; suspicions = Pidset.empty }) in
   Net.on_deliver net (fun (e : hb Net.envelope) ->

@@ -335,7 +335,6 @@ let faults_none t = t.faults_none
 let set_faults t f =
   t.faults <- f;
   t.faults_none <- Faults.is_none f
-let is_stalled t pid = t.now < t.stalled_until.(pid)
 
 let stall_end t pid =
   if t.now < t.stalled_until.(pid) then Some t.stalled_until.(pid) else None
@@ -495,8 +494,6 @@ let offer t ~src ~dst fire =
   let pd = { pd_id = t.next_pd; pd_src = src; pd_dst = dst; pd_fire = fire } in
   t.next_pd <- t.next_pd + 1;
   t.pool <- pd :: t.pool
-
-let pending_deliveries t = List.length t.pool
 
 (* One chooser step at an event boundary: [true] iff something fired (a
    delivery or a crash), which counts as an event for the run loop. *)

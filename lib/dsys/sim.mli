@@ -147,9 +147,6 @@ val install_stalls : t -> Faults.stall list -> unit
 (** Schedule stall windows.  Must be called before {!run}.  Overlapping
     windows for the same process keep the latest end time. *)
 
-val is_stalled : t -> Pid.t -> bool
-(** Whether the process is inside a stall window at the current time. *)
-
 val stall_end : t -> Pid.t -> float option
 (** [Some end_time] iff the process is currently stalled — substrates
     (e.g. [Net.deliver]) use it to defer deliveries to frozen
@@ -300,8 +297,6 @@ val offer : t -> src:Pid.t -> dst:Pid.t -> (unit -> unit) -> unit
     process that crashes meanwhile are dropped from the pool (a message to
     a dead process is indistinguishable from a lost one).  Raises
     [Invalid_argument] if no chooser is installed. *)
-
-val pending_deliveries : t -> int
 
 (** {1 Running} *)
 

@@ -13,7 +13,7 @@ let install sim ?(period = 1.0) ?(initial_timeout = 3.0) ?(backoff = 1.5)
     ?(timeout_cap = 60.0) ?(timeout_jitter = 0.1)
     ?(delay = Delay.Psync { gst = 30.0; bound = 2.0; pre_spread = 25.0 }) () =
   let n = Sim.n sim in
-  let net = Net.create sim ~tag:"impl.hb" ~delay ~retain:false () in
+  let net = Net.create sim ~tag:"impl.hb" ~delay () in
   let t =
     {
       sim;

@@ -8,7 +8,7 @@ module Link = struct
     delay : Delay.t;
     rng : Rng.t;
     loss : float;
-    mutable handlers : (src:Pid.t -> dst:Pid.t -> 'm -> unit) list;
+    mutable handlers : (src:Pid.t -> dst:Pid.t -> 'm -> unit) list; (* registration order *)
     mutable sent : int;
     mutable dropped : int;
     mutable delivered : int;
@@ -40,12 +40,12 @@ module Link = struct
         Sim.schedule t.sim ~delay:d (fun () ->
             if not (Sim.is_crashed t.sim dst) then begin
               t.delivered <- t.delivered + 1;
-              List.iter (fun h -> h ~src ~dst payload) (List.rev t.handlers)
+              List.iter (fun h -> h ~src ~dst payload) t.handlers
             end)
       end
     end
 
-  let on_deliver t h = t.handlers <- h :: t.handlers
+  let on_deliver t h = t.handlers <- t.handlers @ [ h ]
   let sent t = t.sent
   let dropped t = t.dropped
   let delivered t = t.delivered
@@ -56,25 +56,25 @@ module Transport = struct
 
   type 'm pend = { pd_dst : Pid.t; pd_body : 'm; mutable pd_attempt : int }
 
+  (* Backoff schedule: the first resend comes [base] after the send, each
+     further one [factor] times later than the last up to [cap], each
+     perturbed by ±[jitter] of deterministic jitter from [brng] so
+     retransmission bursts from different senders decorrelate. *)
+  let base = 1.0
+  let factor = 2.0
+  let cap = 8.0 *. base
+  let jitter = 0.2
+
   type 'm t = {
     sim : Sim.t;
     link : 'm packet Link.t;
-    (* Backoff schedule: resend intervals grow by [factor] per attempt up
-       to [cap], each perturbed by deterministic jitter from [brng] so
-       retransmission bursts from different senders decorrelate. *)
-    base : float;
-    factor : float;
-    cap : float;
-    jitter : float;
     brng : Rng.t;
-    metrics : Metrics.t;
     (* Per sender: next sequence number and the unacknowledged queue. *)
     next_seq : int array;
     unacked : (int, 'm pend) Hashtbl.t array;
-    (* Per receiver: seen (src, seq) pairs and the delivered list. *)
+    (* Per receiver: seen (src, seq) pairs. *)
     seen : (Pid.t * int, unit) Hashtbl.t array;
-    inboxes : (Pid.t * 'm) list array;
-    mutable handlers : (src:Pid.t -> dst:Pid.t -> 'm -> unit) list;
+    mutable handlers : (src:Pid.t -> dst:Pid.t -> 'm -> unit) list; (* registration order *)
   }
 
   (* Per-message retransmission timer.  Still stubborn — a message is
@@ -87,8 +87,8 @@ module Transport = struct
     | None -> ()
     | Some p ->
         let interval =
-          Delay.backoff_interval ~base:t.base ~factor:t.factor ~cap:t.cap
-            ~jitter:t.jitter ~rng:t.brng ~attempt:p.pd_attempt
+          Delay.backoff_interval ~base ~factor ~cap ~jitter ~rng:t.brng
+            ~attempt:p.pd_attempt
         in
         Sim.schedule t.sim ~delay:interval (fun () ->
             match Hashtbl.find_opt t.unacked.(src) seq with
@@ -102,39 +102,21 @@ module Transport = struct
                     Sim.at t.sim ~time:resume_at (fun () -> arm t ~src seq)
                 | None ->
                     p.pd_attempt <- p.pd_attempt + 1;
-                    Metrics.incr t.metrics "net.retransmits";
                     Trace.incr (Sim.trace t.sim) "net.retransmits";
                     Link.send t.link ~src ~dst:p.pd_dst
                       (Data { seq; body = p.pd_body });
                     arm t ~src seq))
 
-  let create sim ?(tag = "transport") ?(delay = Delay.default)
-      ?(retransmit_every = 1.0) ?(backoff_factor = 2.0) ?backoff_cap
-      ?(backoff_jitter = 0.2) ~loss () =
-    if retransmit_every <= 0.0 then
-      invalid_arg "Lossy.Transport.create: retransmit_every must be > 0";
-    if backoff_factor < 1.0 then
-      invalid_arg "Lossy.Transport.create: backoff_factor must be >= 1";
-    let cap =
-      match backoff_cap with
-      | Some c -> c
-      | None -> 8.0 *. retransmit_every
-    in
+  let create sim ?(tag = "transport") ?(delay = Delay.default) ~loss () =
     let n = Sim.n sim in
     let t =
       {
         sim;
         link = Link.create sim ~tag ~delay ~loss ();
-        base = retransmit_every;
-        factor = backoff_factor;
-        cap;
-        jitter = backoff_jitter;
         brng = Rng.split_named (Sim.rng sim) ("backoff:" ^ tag);
-        metrics = Metrics.create ();
         next_seq = Array.make n 0;
         unacked = Array.init n (fun _ -> Hashtbl.create 32);
         seen = Array.init n (fun _ -> Hashtbl.create 64);
-        inboxes = Array.make n [];
         handlers = [];
       }
     in
@@ -145,8 +127,7 @@ module Transport = struct
             Link.send t.link ~src:dst ~dst:src (Ack { seq });
             if not (Hashtbl.mem t.seen.(dst) (src, seq)) then begin
               Hashtbl.add t.seen.(dst) (src, seq) ();
-              t.inboxes.(dst) <- (src, body) :: t.inboxes.(dst);
-              List.iter (fun h -> h ~src ~dst body) (List.rev t.handlers)
+              List.iter (fun h -> h ~src ~dst body) t.handlers
             end
         | Ack { seq } -> (
             (* [dst] is the original sender here (acks flow backwards). *)
@@ -160,7 +141,6 @@ module Transport = struct
                   (fun _ q ->
                     if q.pd_dst = p.pd_dst && q.pd_attempt > 0 then begin
                       q.pd_attempt <- 0;
-                      Metrics.incr t.metrics "net.backoff_resets";
                       Trace.incr (Sim.trace t.sim) "net.backoff_resets"
                     end)
                   t.unacked.(dst)));
@@ -176,9 +156,7 @@ module Transport = struct
       arm t ~src seq
     end
 
-  let inbox t pid = List.rev t.inboxes.(pid)
-  let on_deliver t h = t.handlers <- h :: t.handlers
+  let on_deliver t h = t.handlers <- t.handlers @ [ h ]
   let pending t pid = Hashtbl.length t.unacked.(pid)
   let link_sent t = Link.sent t.link
-  let metrics t = t.metrics
 end

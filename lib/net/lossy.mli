@@ -26,6 +26,8 @@ module Link : sig
 
   val send : 'm t -> src:Pid.t -> dst:Pid.t -> 'm -> unit
   val on_deliver : 'm t -> (src:Pid.t -> dst:Pid.t -> 'm -> unit) -> unit
+  (** Callbacks run in registration order. *)
+
   val sent : 'm t -> int
   val dropped : 'm t -> int
   val delivered : 'm t -> int
@@ -38,10 +40,6 @@ module Transport : sig
     Sim.t ->
     ?tag:string ->
     ?delay:Delay.t ->
-    ?retransmit_every:float ->
-    ?backoff_factor:float ->
-    ?backoff_cap:float ->
-    ?backoff_jitter:float ->
     loss:float ->
     unit ->
     'm t
@@ -49,33 +47,25 @@ module Transport : sig
       for deduplication, acks to retire per-message retransmission
       timers.  Retransmission is stubborn (a message is resent until
       acked — reliability needs nothing less) but paced by capped
-      exponential backoff: the first resend comes after
-      [retransmit_every] (default 1.0), each further one [backoff_factor]
-      (default 2.0) later than the last up to [backoff_cap] (default
-      [8 * retransmit_every]), all perturbed by ±[backoff_jitter]
-      (default 0.2, i.e. ±20%) of deterministic seed-derived jitter via
-      {!Delay.backoff_interval}.  An ack from a destination resets the
-      backoff of its other pending messages (fresh evidence the path
-      works).  [net.retransmits] and [net.backoff_resets] are recorded in
-      {!metrics} and mirrored as trace counters. *)
+      exponential backoff: the first resend comes after 1.0, each further
+      one twice as long after the last up to 8.0, all perturbed by ±20%
+      of deterministic seed-derived jitter via {!Delay.backoff_interval}.
+      An ack from a destination resets the backoff of its other pending
+      messages (fresh evidence the path works).  Trace counters:
+      [net.retransmits] counts resent data packets, [net.backoff_resets]
+      pending messages pulled back to the base interval. *)
 
   val send : 'm t -> src:Pid.t -> dst:Pid.t -> 'm -> unit
   (** Queue for reliable delivery.  Must be called while [src] is alive;
       delivery is guaranteed if both ends are correct. *)
 
-  val inbox : 'm t -> Pid.t -> (Pid.t * 'm) list
-  (** [(src, payload)] in delivery order, duplicates already removed. *)
-
   val on_deliver : 'm t -> (src:Pid.t -> dst:Pid.t -> 'm -> unit) -> unit
+  (** Callback at each delivery, duplicates already removed, in
+      registration order. *)
 
   val pending : 'm t -> Pid.t -> int
   (** Unacknowledged messages a process is still retransmitting. *)
 
   val link_sent : 'm t -> int
   (** Raw link-level copies consumed (retransmissions + acks). *)
-
-  val metrics : 'm t -> Metrics.t
-  (** The transport's metrics registry: [net.retransmits] counts resent
-      data packets, [net.backoff_resets] counts pending messages pulled
-      back to the base interval by an ack on the same path. *)
 end

@@ -1,13 +1,7 @@
 open Setagree_util
 open Setagree_dsys
 
-type 'm envelope = {
-  src : Pid.t;
-  dst : Pid.t;
-  sent_at : float;
-  delivered_at : float;
-  payload : 'm;
-}
+type 'm envelope = { src : Pid.t; dst : Pid.t; payload : 'm }
 
 (* What the keyed index keeps of a protocol's deliveries: [empty] makes
    the summary of a key nothing has reached yet, [add] folds in the first
@@ -17,11 +11,9 @@ type ('m, 's) summary = { empty : unit -> 's; add : 's -> src:Pid.t -> 'm -> 's 
 let counts_only = { empty = (fun () -> ()); add = (fun () ~src:_ _ -> ()) }
 
 (* Per-(destination, key) aggregate maintained incrementally at delivery
-   time, so blocked-predicate readiness checks are O(1) lookups instead of
-   whole-mailbox rescans.  No envelopes: the payload is read once, into
-   the summary, and dropped. *)
+   time, so blocked-predicate readiness checks are O(1) lookups.  No
+   envelopes: the payload is read once, into the summary, and dropped. *)
 type 's keyslot = {
-  mutable k_count : int;
   k_senders : Pidset.Bits.t; (* set in place *)
   mutable k_nsenders : int; (* = cardinal k_senders, maintained here *)
   mutable k_sum : 's;
@@ -35,16 +27,12 @@ type ('m, 's) net = {
   (* Fault decisions draw from their own named stream so that attaching a
      [Faults] spec (or not) never perturbs the delay draws of the run. *)
   frng : Rng.t;
-  retain : bool;
   classify : ('m -> int) option;
   summary : ('m, 's) summary;
   absent : 's; (* the summary read for keys with no live slot *)
   (* When present, sends travel through the stubborn transport over a
      fair-lossy link instead of the direct channel. *)
-  transport : (float * 'm) Lossy.Transport.t option;
-  (* Mailboxes are append-only logs in delivery order; without [retain]
-     every destination shares one empty log that nothing appends to. *)
-  boxes : 'm envelope Vec.t array;
+  transport : 'm Lossy.Transport.t option;
   (* Keyed index storage: protocol classify keys are small dense ints
      (round/phase coordinates), so the common case is a direct array slot
      read; rare out-of-range keys (negative, or past the dense bound) fall
@@ -61,7 +49,6 @@ type ('m, 's) net = {
   (* Per-destination round frontier: keys below it are retired, and
      deliveries of them skip the index. *)
   frontier : int array;
-  conds : Sim.cond array;
   (* Quorum watches: one per destination, registered by [quorum_cond].
      The indexer signals the watch only when the watched key's distinct-
      sender count crosses the registered threshold, so a quorum wait costs
@@ -73,19 +60,17 @@ type ('m, 's) net = {
   watch_conds : Sim.cond array;
   mutable handlers : ('m envelope -> unit) list; (* registration order *)
   mutable sent : int;
-  mutable delivered : int;
   (* Pre-resolved trace counters (one hash at create, O(1) per message). *)
   h_sent : Trace.counter;
   h_delivered : Trace.counter;
   h_deferred : Trace.counter;
   (* Flat in-flight store: one row per scheduled message, chained into
-     per-(dst, time) batches so all envelopes reaching one mailbox at one
-     instant cost a single queue event.  [r_next] doubles as the batch
+     per-(dst, time) batches so all messages reaching one destination at
+     one instant cost a single queue event.  [r_next] doubles as the batch
      chain (live rows) and the free list (free rows). *)
   mutable disp : int; (* our dispatcher id in the simulator *)
   mutable r_src : int array;
   mutable r_dst : int array;
-  mutable r_sent : float array;
   mutable r_pay : 'm array;
   (* What a freed row's payload cell points at: the net's first payload,
      kept for this, so a free row holds on to no message of its own (no
@@ -108,7 +93,6 @@ let kdense_max = 1 lsl 16
 
 let fresh_keyslot t =
   {
-    k_count = 0;
     k_senders = Pidset.Bits.create ~n:(Sim.n t.sim);
     k_nsenders = 0;
     k_sum = t.summary.empty ();
@@ -158,12 +142,11 @@ let keyslot_find t pid key =
     if key < Array.length row then row.(key) else None
   else Hashtbl.find_opt t.keyed_ovf (pid, key)
 
-(* Count every delivery; fold only a sender's first one into the senders
-   and the summary, so duplicate copies leave both unchanged. *)
+(* Fold only a sender's first delivery into the senders and the summary,
+   so duplicate copies leave both unchanged. *)
 let index t ~dst ~src payload key =
   if key >= t.frontier.(dst) then begin
     let slot = keyslot_get t dst key in
-    slot.k_count <- slot.k_count + 1;
     if Pidset.Bits.add slot.k_senders src then begin
       slot.k_nsenders <- slot.k_nsenders + 1;
       slot.k_sum <- t.summary.add slot.k_sum ~src payload;
@@ -177,35 +160,34 @@ let index t ~dst ~src payload key =
     end
   end
 
-let rec deliver t ~src ~dst ~sent_at payload () =
+let rec deliver t ~src ~dst payload () =
   if not (Sim.is_crashed t.sim dst) then begin
     match Sim.stall_end t.sim dst with
     | Some resume_at ->
         (* A stalled process is frozen: the channel holds the message and
            re-presents it when the stall window closes. *)
         Trace.bump t.h_deferred 1;
-        Sim.at t.sim ~time:resume_at (deliver t ~src ~dst ~sent_at payload)
-    | None -> deliver_now t ~src ~dst ~sent_at payload
+        Sim.at t.sim ~time:resume_at (deliver t ~src ~dst payload)
+    | None -> deliver_now t ~src ~dst payload
   end
 
-and deliver_now t ~src ~dst ~sent_at payload =
-  let now = Sim.now t.sim in
+(* A delivery updates the keyed index and runs the handlers; nothing else
+   keeps it. *)
+and deliver_now t ~src ~dst payload =
   (match t.classify with Some f -> index t ~dst ~src payload (f payload) | None -> ());
-  t.delivered <- t.delivered + 1;
   Trace.bump t.h_delivered 1;
   let tr = Sim.trace t.sim in
   if Trace.records_full tr then
-    Trace.record tr ~time:now (Trace.Deliver { src; dst; tag = t.tag });
-  (* An envelope exists only for a mailbox or a handler to keep.  Match
-     form: no closure capture when the common cases (no handler, one
-     handler) run on every delivery. *)
-  (match (t.retain, t.handlers) with
-  | false, [] -> ()
-  | _, hs -> (
-      let env = { src; dst; sent_at; delivered_at = now; payload } in
-      if t.retain then Vec.push t.boxes.(dst) env;
-      match hs with [] -> () | [ h ] -> h env | hs -> List.iter (fun h -> h env) hs));
-  Sim.Cond.signal t.conds.(dst)
+    Trace.record tr ~time:(Sim.now t.sim) (Trace.Deliver { src; dst; tag = t.tag });
+  (* An envelope exists only for a handler.  Match form: no closure
+     capture when the common cases (no handler, one handler) run on every
+     delivery. *)
+  match t.handlers with
+  | [] -> ()
+  | [ h ] -> h { src; dst; payload }
+  | hs ->
+      let env = { src; dst; payload } in
+      List.iter (fun h -> h env) hs
 
 (* ---- Flat rows and batched dispatch ---- *)
 
@@ -226,7 +208,6 @@ let row_grow t payload =
   in
   t.r_src <- copy t.r_src 0;
   t.r_dst <- copy t.r_dst 0;
-  t.r_sent <- copy t.r_sent 0.0;
   t.r_pay <- copy t.r_pay fill;
   t.r_next <- copy t.r_next (-1);
   for i = cap to ncap - 1 do
@@ -234,13 +215,12 @@ let row_grow t payload =
   done;
   t.r_free <- cap
 
-let row_alloc t ~src ~dst ~sent_at payload =
+let row_alloc t ~src ~dst payload =
   if t.r_free = -1 then row_grow t payload;
   let r = t.r_free in
   t.r_free <- t.r_next.(r);
   t.r_src.(r) <- src;
   t.r_dst.(r) <- dst;
-  t.r_sent.(r) <- sent_at;
   t.r_pay.(r) <- payload;
   t.r_next.(r) <- -1;
   r
@@ -264,21 +244,20 @@ let dispatch t head =
   let row = ref head in
   while !row >= 0 do
     let r = !row in
-    let src = t.r_src.(r) and sent_at = t.r_sent.(r) in
+    let src = t.r_src.(r) in
     let payload = t.r_pay.(r) in
     row := t.r_next.(r);
     (* Free before delivering: handlers may send, reusing this row; all
        fields are already read out. *)
     row_free t r;
-    deliver t ~src ~dst ~sent_at payload ()
+    deliver t ~src ~dst payload ()
   done
 
 (* Schedule a message for delivery at an absolute time: append to the
    destination's open batch when one is queued for exactly this instant,
-   else open a new batch (one event, one future mailbox drain for the
-   whole batch). *)
-let schedule_delivery t ~src ~dst ~sent_at ~deliver_at payload =
-  let r = row_alloc t ~src ~dst ~sent_at payload in
+   else open a new batch (one event for the whole batch). *)
+let schedule_delivery t ~src ~dst ~deliver_at payload =
+  let r = row_alloc t ~src ~dst payload in
   if t.open_head.(dst) >= 0 && t.open_time.(dst) = deliver_at then begin
     t.r_next.(t.open_tail.(dst)) <- r;
     t.open_tail.(dst) <- r
@@ -291,17 +270,15 @@ let schedule_delivery t ~src ~dst ~sent_at ~deliver_at payload =
   end
 
 (* Real-runtime ingress: a message that already traveled the wire is
-   handed to the local simulator as an immediate delivery event, so all
-   mailbox/index/condition updates happen inside the event loop (the next
+   handed to the local simulator as an immediate delivery event, so the
+   index and handler updates happen inside the event loop (the next
    [Sim.advance] tick), exactly like a locally sent message would. *)
 let inject t ~src payload =
   match Sim.local t.sim with
   | None -> invalid_arg "Net.inject: simulator is not in real-runtime mode"
-  | Some dst ->
-      let sent_at = Sim.now t.sim in
-      Sim.schedule t.sim ~delay:0.0 (deliver t ~src ~dst ~sent_at payload)
+  | Some dst -> Sim.schedule t.sim ~delay:0.0 (deliver t ~src ~dst payload)
 
-let make sim ~tag ~delay ~retain ~classify ~summary ~loss =
+let make sim ~tag ~delay ~classify ~summary ~loss =
   let transport =
     Option.map (fun loss -> Lossy.Transport.create sim ~tag:(tag ^ ".l") ~delay ~loss ()) loss
   in
@@ -314,32 +291,25 @@ let make sim ~tag ~delay ~retain ~classify ~summary ~loss =
       delay;
       rng = Rng.split_named (Sim.rng sim) ("net:" ^ tag);
       frng = Rng.split_named (Sim.rng sim) ("fault:" ^ tag);
-      retain;
       classify;
       summary;
       absent = summary.empty ();
       transport;
-      boxes =
-        (if retain then Array.init n (fun _ -> Vec.create ())
-         else Array.make n (Vec.create ()));
       kdense = Array.make n [||];
       knsend = Array.make n [||];
       keyed_ovf = Hashtbl.create 1;
       frontier = Array.make n min_int;
-      conds = Array.init n (fun _ -> Sim.Cond.create sim);
       watch_key = Array.make n min_int;
       watch_q = Array.make n 0;
       watch_conds = Array.init n (fun _ -> Sim.Cond.create sim);
       handlers = [];
       sent = 0;
-      delivered = 0;
       h_sent = Trace.counter_handle tr (tag ^ ".sent");
       h_delivered = Trace.counter_handle tr (tag ^ ".delivered");
       h_deferred = Trace.counter_handle tr "fault.deferred";
       disp = -1;
       r_src = [||];
       r_dst = [||];
-      r_sent = [||];
       r_pay = [||];
       r_fill = None;
       r_next = [||];
@@ -352,8 +322,7 @@ let make sim ~tag ~delay ~retain ~classify ~summary ~loss =
   t.disp <- Sim.register_dispatcher sim (fun head -> dispatch t head);
   Option.iter
     (fun tr ->
-      Lossy.Transport.on_deliver tr (fun ~src ~dst (sent_at, payload) ->
-          deliver t ~src ~dst ~sent_at payload ()))
+      Lossy.Transport.on_deliver tr (fun ~src ~dst payload -> deliver t ~src ~dst payload ()))
     transport;
   (* Real-runtime mode: the tag names this network's decoder in the node's
      inbound dispatch. *)
@@ -365,15 +334,11 @@ let make sim ~tag ~delay ~retain ~classify ~summary ~loss =
   | None -> ());
   t
 
-let create sim ?(tag = "net") ?(delay = Delay.default) ?(retain = true) ?loss () =
-  make sim ~tag ~delay ~retain ~classify:None ~summary:counts_only ~loss
+let create sim ?(tag = "net") ?(delay = Delay.default) ?loss () =
+  make sim ~tag ~delay ~classify:None ~summary:counts_only ~loss
 
-let create_keyed sim ?(tag = "net") ?(delay = Delay.default) ?(retain = true) ?loss
-    ~classify ~summary () =
-  make sim ~tag ~delay ~retain ~classify:(Some classify) ~summary ~loss
-
-let sim t = t.sim
-let cond t pid = t.conds.(pid)
+let create_keyed sim ?(tag = "net") ?(delay = Delay.default) ?loss ~classify ~summary () =
+  make sim ~tag ~delay ~classify:(Some classify) ~summary ~loss
 
 let quorum_cond t pid ~key ~q =
   t.watch_key.(pid) <- key;
@@ -390,10 +355,7 @@ let note_sent t ~src ~dst =
 let send_at t ~src ~dst ~deliver_at payload =
   if not (Sim.is_crashed t.sim src) then begin
     note_sent t ~src ~dst;
-    let sent_at = Sim.now t.sim in
-    schedule_delivery t ~src ~dst ~sent_at
-      ~deliver_at:(Float.max deliver_at sent_at)
-      payload
+    schedule_delivery t ~src ~dst ~deliver_at:(Float.max deliver_at (Sim.now t.sim)) payload
   end
 
 let send t ~src ~dst payload =
@@ -414,8 +376,7 @@ let send t ~src ~dst payload =
        replays of the same seed). *)
     | None when Sim.controlled t.sim ->
         note_sent t ~src ~dst;
-        let sent_at = Sim.now t.sim in
-        Sim.offer t.sim ~src ~dst (deliver t ~src ~dst ~sent_at payload)
+        Sim.offer t.sim ~src ~dst (deliver t ~src ~dst payload)
     | None ->
         let now = Sim.now t.sim in
         if Sim.faults_none t.sim then
@@ -445,7 +406,7 @@ let send t ~src ~dst payload =
         end
     | Some tr ->
         note_sent t ~src ~dst;
-        Lossy.Transport.send tr ~src ~dst (Sim.now t.sim, payload))
+        Lossy.Transport.send tr ~src ~dst payload)
   end
 
 let broadcast t ~src payload =
@@ -465,23 +426,6 @@ let broadcast_staggered t ~src ~step payload =
   in
   go 0
 
-let inbox t pid = Vec.to_list t.boxes.(pid)
-let recv_filter t pid f = List.filter f (inbox t pid)
-
-let recv_count t pid f =
-  Vec.fold_left (fun acc e -> if f e then acc + 1 else acc) 0 t.boxes.(pid)
-
-let distinct_senders t pid f =
-  Vec.fold_left
-    (fun acc e -> if f e then Pidset.add e.src acc else acc)
-    Pidset.empty t.boxes.(pid)
-
-let mail_cursor t pid = Vec.length t.boxes.(pid)
-let recv_since t pid ~cursor = Vec.list_from t.boxes.(pid) ~cursor
-
-let keyed_count t pid key =
-  match keyslot_find t pid key with Some s -> s.k_count | None -> 0
-
 (* The per-event quorum predicate: two flat reads off the mirror rows. *)
 let keyed_nsenders t pid key =
   if key >= 0 && key < kdense_max then begin
@@ -489,11 +433,6 @@ let keyed_nsenders t pid key =
     if key < Array.length row then row.(key) else 0
   end
   else match keyslot_find t pid key with Some s -> s.k_nsenders | None -> 0
-
-let keyed_senders t pid key =
-  match keyslot_find t pid key with
-  | Some s -> Pidset.Bits.to_set s.k_senders
-  | None -> Pidset.empty
 
 let keyed_meets t pid key set =
   match keyslot_find t pid key with
@@ -520,4 +459,3 @@ let retire t pid ~below =
 
 let on_deliver t h = t.handlers <- t.handlers @ [ h ]
 let sent_count t = t.sent
-let delivered_count t = t.delivered

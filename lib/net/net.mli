@@ -9,27 +9,22 @@
     the two wheels under a k-set agreement) each create their own network
     over the same simulator, mirroring the paper's module structure.
 
-    {b Mailboxes are indexed.}  Each destination owns an append-only log
-    read either whole ({!inbox}) or incrementally ({!recv_since} with a
-    cursor).  A network made by {!create_keyed} also keeps, per
-    (destination, key), an aggregate updated in place at delivery: a
-    sender bitset, a delivery count and a protocol {!summary} folded from
-    each sender's first payload — {!keyed_count}, {!keyed_nsenders} and
-    {!keyed_summary} are O(1) lookups, never mailbox rescans, and no
-    envelope is kept for them.  Every delivery to [dst] signals
-    {!cond}[ t dst], which is what {!Setagree_dsys.Sim.Cond.await}
-    predicates over this network subscribe to. *)
+    {b Messages leave no history.}  A delivery is read in one of two
+    ways, the two ways the paper's protocols use the channels: an
+    {!on_deliver} handler runs at it ("when m is delivered"), and a
+    network made by {!create_keyed} folds it into a per-(destination,
+    key) aggregate ("received from n − t"): a sender bitset and a
+    protocol {!summary} built from each sender's first payload.
+    {!keyed_nsenders}, {!keyed_meets} and {!keyed_summary} are O(1)
+    lookups, and {!quorum_cond} wakes a waiter when a sender count
+    crosses its threshold.  No mailbox, envelope or timestamp is kept
+    once the handlers return. *)
 
 open Setagree_util
 open Setagree_dsys
 
-type 'm envelope = {
-  src : Pid.t;
-  dst : Pid.t;
-  sent_at : float;
-  delivered_at : float;
-  payload : 'm;
-}
+type 'm envelope = { src : Pid.t; dst : Pid.t; payload : 'm }
+(** What a handler sees of one delivery; the time is [Sim.now]. *)
 
 type ('m, 's) net
 (** A network carrying ['m] payloads whose keyed index keeps an ['s]
@@ -59,7 +54,6 @@ val create :
   Sim.t ->
   ?tag:string ->
   ?delay:Delay.t ->
-  ?retain:bool ->
   ?loss:float ->
   unit ->
   'm t
@@ -67,10 +61,6 @@ val create :
     counters (default ["net"]); [delay] defaults to {!Delay.default}.
     Delay draws come from an RNG split off the simulator's root with the
     tag as key, so adding another network does not perturb this one.
-    [retain] (default true): keep delivered envelopes in mailboxes for
-    {!inbox}-style reads; protocols that consume messages purely through
-    {!on_deliver} callbacks should pass [false] so unbounded runs stay in
-    bounded memory.
     [loss]: when given, every {!send} travels through a stubborn reliable
     transport over a fair-lossy link dropping that fraction of copies
     ({!Lossy.Transport}) — same delivery guarantees between correct
@@ -81,7 +71,6 @@ val create_keyed :
   Sim.t ->
   ?tag:string ->
   ?delay:Delay.t ->
-  ?retain:bool ->
   ?loss:float ->
   classify:('m -> int) ->
   summary:('m, 's) summary ->
@@ -89,20 +78,13 @@ val create_keyed :
   ('m, 's) net
 (** {!create} plus the keyed delivery index: [classify] maps each payload
     to an integer key — the protocol's round/phase structure, typically —
-    and every delivery updates the aggregate for (destination, key),
-    including with [retain = false].  Per-key storage is created by the
-    first delivery of the key, never at create time. *)
-
-val sim : ('m, 's) net -> Sim.t
-
-val cond : ('m, 's) net -> Pid.t -> Sim.cond
-(** The destination's delivery condition: signalled on every delivery to
-    the process.  Subscribe {!Sim.Cond.await} predicates that read this
-    process's mailbox state to it. *)
+    and every delivery updates the aggregate for (destination, key).
+    Per-key storage is created by the first delivery of the key, never at
+    create time. *)
 
 val quorum_cond : ('m, 's) net -> Pid.t -> key:int -> q:int -> Sim.cond
-(** Threshold form of {!cond} for the quorum waits that dominate round
-    structure: registers (replacing the process's previous registration)
+(** The wakeup for the quorum waits that dominate round structure:
+    registers (replacing the process's previous registration)
     a watch on the keyed delivery index and returns a condition signalled
     {e only} when the distinct-sender count for [key] at the process
     crosses [q].  A predicate of the shape
@@ -148,41 +130,15 @@ val broadcast_staggered : ('m, 's) net -> src:Pid.t -> step:float -> 'm -> unit
     the sender crashes in between — the failure mode reliable broadcast
     exists to mask. *)
 
-val inbox : ('m, 's) net -> Pid.t -> 'm envelope list
-(** All messages delivered to the process so far, in delivery order. *)
-
-val recv_filter : ('m, 's) net -> Pid.t -> ('m envelope -> bool) -> 'm envelope list
-
-val recv_count : ('m, 's) net -> Pid.t -> ('m envelope -> bool) -> int
-
-val distinct_senders : ('m, 's) net -> Pid.t -> ('m envelope -> bool) -> Pidset.t
-(** Senders of matching delivered messages — the "received from n-t
-    processes" guards count distinct senders. *)
-
-val mail_cursor : ('m, 's) net -> Pid.t -> int
-(** Current length of the process's mailbox log; pass to {!recv_since}
-    later to read only what arrived in between. *)
-
-val recv_since : ('m, 's) net -> Pid.t -> cursor:int -> 'm envelope list
-(** Envelopes appended at positions [>= cursor], in delivery order. *)
-
 (** {1 Keyed delivery index} (networks made by {!create_keyed}) *)
 
-val keyed_count : ('m, 's) net -> Pid.t -> int -> int
-(** Deliveries to the process whose payload classified to the key. *)
-
-val keyed_senders : ('m, 's) net -> Pid.t -> int -> Pidset.t
-(** Distinct senders among them, as a snapshot of the in-place bitset.
-    Per-event predicates use {!keyed_nsenders} or {!keyed_meets}, which
-    copy nothing. *)
-
 val keyed_nsenders : ('m, 's) net -> Pid.t -> int -> int
-(** [cardinal (keyed_senders t pid key)] without the popcount — an int
+(** Distinct senders of the key's deliveries to the process — an int
     maintained at delivery, for quorum predicates evaluated per event. *)
 
 val keyed_meets : ('m, 's) net -> Pid.t -> int -> Pidset.t -> bool
-(** [keyed_meets t pid key set] is [not (disjoint (keyed_senders t pid
-    key) set)] without the snapshot — for predicates evaluated per
+(** Whether some sender of the key's deliveries to the process is in the
+    set — a read of the in-place bitset, for predicates evaluated per
     event. *)
 
 val keyed_summary : ('m, 's) net -> Pid.t -> int -> 's
@@ -193,28 +149,28 @@ val keyed_summary : ('m, 's) net -> Pid.t -> int -> 's
 val retire : ('m, 's) net -> Pid.t -> below:int -> unit
 (** Advance the process's round frontier: every key below [below] is
     retired — its aggregate is freed, and later deliveries of it (late or
-    duplicate copies) are still delivered, counted and signalled but skip
-    the index, so the keyed accessors read such keys as empty for good.
-    Keeps a long run's live index bounded by the round window.  The
-    frontier only moves up; [below:max_int] retires every key, for a
-    process that is done reading. *)
+    duplicate copies) still reach the handlers but skip the index, so
+    the keyed accessors read such keys as empty for good.  Keeps a long
+    run's live index bounded by the round window.  The frontier only
+    moves up; [below:max_int] retires every key, for a process that is
+    done reading. *)
 
 val inject : ('m, 's) net -> src:Pid.t -> 'm -> unit
 (** Real-runtime ingress: deliver a message that already traveled the
     wire to the {!Setagree_dsys.Sim.local} pid, as an immediate delivery
-    event of the local simulator (mailbox append, keyed index, handlers
-    and condition signal all happen inside the next [Sim.advance] tick).
+    event of the local simulator: the keyed index and the handlers read
+    it inside the next [Sim.advance] tick, as for a local delivery.
     Raises [Invalid_argument] on a simulator without [local].  The
     inverse direction is automatic: on a [local] simulator, {!create}
     registers an inlet under the net's tag that decodes and injects, and
     {!send} routes remote-bound messages through [Sim.set_router]. *)
 
 val on_deliver : ('m, 's) net -> ('m envelope -> unit) -> unit
-(** Register a callback run at each delivery (after the mailbox append and
-    only if the destination is alive).  Callbacks run in registration
-    order.  Used for the paper's "when m is delivered" tasks. *)
+(** Register a callback run at each delivery (after the keyed index
+    update, and only if the destination is alive).  Callbacks run in
+    registration order.  Used for the paper's "when m is delivered"
+    tasks. *)
 
 val sent_count : ('m, 's) net -> int
-(** Total messages sent through this network. *)
-
-val delivered_count : ('m, 's) net -> int
+(** Total messages sent through this network.  Deliveries are counted by
+    the [<tag>.delivered] trace counter. *)

@@ -1,7 +1,7 @@
 open Setagree_util
 open Setagree_dsys
 
-type 'm delivery = { origin : Pid.t; body : 'm; at : float }
+type 'm delivery = { origin : Pid.t; body : 'm }
 type 'm tagged = { torigin : Pid.t; uid : int; body : 'm }
 
 type 'm t = {
@@ -9,8 +9,6 @@ type 'm t = {
   net : 'm tagged Net.t;
   stagger : float option;
   seen : (Pid.t * int, unit) Hashtbl.t array;
-  (* R-deliveries per process, an append-only log in delivery order. *)
-  rdelivered : 'm delivery Vec.t array;
   conds : Sim.cond array;
   mutable next_uid : int array;
   mutable handlers : (Pid.t -> 'm delivery -> unit) list; (* registration order *)
@@ -21,9 +19,8 @@ let relay t ~src msg =
   | None -> Net.broadcast t.net ~src msg
   | Some step -> Net.broadcast_staggered t.net ~src ~step msg
 
-let rdeliver t pid (msg : 'm tagged) at =
-  let d = { origin = msg.torigin; body = msg.body; at } in
-  Vec.push t.rdelivered.(pid) d;
+let rdeliver t pid (msg : 'm tagged) =
+  let d = { origin = msg.torigin; body = msg.body } in
   List.iter (fun h -> h pid d) t.handlers;
   Sim.Cond.signal t.conds.(pid)
 
@@ -33,7 +30,7 @@ let on_first t pid (msg : 'm tagged) =
   if not (Hashtbl.mem t.seen.(pid) (msg.torigin, msg.uid)) then begin
     Hashtbl.add t.seen.(pid) (msg.torigin, msg.uid) ();
     relay t ~src:pid msg;
-    rdeliver t pid msg (Sim.now t.sim)
+    rdeliver t pid msg
   end
 
 let create sim ?(tag = "rbcast") ?(delay = Delay.default) ?stagger ?loss () =
@@ -44,7 +41,6 @@ let create sim ?(tag = "rbcast") ?(delay = Delay.default) ?stagger ?loss () =
       net = Net.create sim ~tag ~delay ?loss ();
       stagger;
       seen = Array.init n (fun _ -> Hashtbl.create 64);
-      rdelivered = Array.init n (fun _ -> Vec.create ());
       conds = Array.init n (fun _ -> Sim.Cond.create sim);
       next_uid = Array.make n 0;
       handlers = [];
@@ -53,7 +49,6 @@ let create sim ?(tag = "rbcast") ?(delay = Delay.default) ?stagger ?loss () =
   Net.on_deliver t.net (fun env -> on_first t env.Net.dst env.Net.payload);
   t
 
-let sim t = t.sim
 let cond t pid = t.conds.(pid)
 
 let broadcast t ~src body =
@@ -65,13 +60,8 @@ let broadcast t ~src body =
        message first. *)
     Hashtbl.add t.seen.(src) (src, uid) ();
     relay t ~src msg;
-    rdeliver t src msg (Sim.now t.sim)
+    rdeliver t src msg
   end
-
-let delivered t pid = Vec.to_list t.rdelivered.(pid)
-
-let delivered_count t pid f =
-  Vec.fold_left (fun acc d -> if f d then acc + 1 else acc) 0 t.rdelivered.(pid)
 
 let on_deliver t h = t.handlers <- t.handlers @ [ h ]
 let underlying_sent t = Net.sent_count t.net

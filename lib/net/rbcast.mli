@@ -14,7 +14,7 @@
 open Setagree_util
 open Setagree_dsys
 
-type 'm delivery = { origin : Pid.t; body : 'm; at : float }
+type 'm delivery = { origin : Pid.t; body : 'm }
 
 type 'm t
 
@@ -26,8 +26,6 @@ val create :
     [loss] routes the underlying channels over the lossy-link transport
     (see {!Net.create}). *)
 
-val sim : 'm t -> Sim.t
-
 val cond : 'm t -> Pid.t -> Sim.cond
 (** The process's R-delivery condition: signalled at each of its
     R-deliveries.  Subscribe {!Sim.Cond.await} predicates that read state
@@ -37,13 +35,9 @@ val cond : 'm t -> Pid.t -> Sim.cond
 val broadcast : 'm t -> src:Pid.t -> 'm -> unit
 (** R-broadcast.  No-op if [src] has crashed. *)
 
-val delivered : 'm t -> Pid.t -> 'm delivery list
-(** Messages R-delivered by the process so far, in delivery order. *)
-
-val delivered_count : 'm t -> Pid.t -> ('m delivery -> bool) -> int
-
 val on_deliver : 'm t -> (Pid.t -> 'm delivery -> unit) -> unit
-(** Callback at each R-delivery (pid is the delivering process). *)
+(** Callback at each R-delivery (pid is the delivering process), in
+    registration order; R-deliveries are read only here. *)
 
 val underlying_sent : 'm t -> int
 (** Point-to-point messages consumed by the implementation. *)

@@ -194,8 +194,7 @@ let hash (s : t) = Array.fold_left (fun h w -> (h * 1_000_003) lxor w) 0 s
 
 (* In-place bitsets: the same word layout as [t], sized once for the
    universe and mutated bit by bit, so accumulating a member costs one
-   word write instead of an array copy.  Never canonical — [to_set]
-   trims a copy. *)
+   word write instead of an array copy.  Never canonical. *)
 module Bits = struct
   type set = t
   type t = int array
@@ -212,5 +211,4 @@ module Bits = struct
        end
 
   let meets b (s : set) = not (disjoint b s)
-  let to_set b : set = trim (Array.copy b)
 end

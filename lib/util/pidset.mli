@@ -91,8 +91,7 @@ val hash : t -> int
 
 (** In-place sender bitsets for hot-path accumulation: a member is added
     with one word write instead of copying an immutable set.  Sized once
-    for a universe of [n] pids; {!Bits.to_set} takes a canonical
-    snapshot. *)
+    for a universe of [n] pids. *)
 module Bits : sig
   type set := t
   type t
@@ -105,6 +104,4 @@ module Bits : sig
 
   val meets : t -> set -> bool
   (** Whether the two share a member ([not (disjoint ...)]). *)
-
-  val to_set : t -> set
 end

@@ -13,6 +13,32 @@ let check_int = Alcotest.(check int)
 let mk ?(horizon = 1000.0) ?(n = 5) ?(t = 2) ?(seed = 1) () =
   Sim.create ~horizon ~n ~t ~seed ()
 
+(* The substrates keep no delivered messages, so these tests read them
+   the way protocols do: through a delivery handler.  A recorder is that
+   handler, keeping each delivery with its time; register it before the
+   sends it should see. *)
+type 'm delivery = { at : float; src : Pid.t; dst : Pid.t; msg : 'm }
+
+let recorder sim subscribe =
+  let log = ref [] in
+  subscribe (fun ~src ~dst msg -> log := { at = Sim.now sim; src; dst; msg } :: !log);
+  log
+
+let net_recorder sim net =
+  recorder sim (fun record ->
+      Net.on_deliver net (fun (e : _ Net.envelope) -> record ~src:e.src ~dst:e.dst e.payload))
+
+(* An R-delivery's [src] is the message's origin. *)
+let rb_recorder sim rb =
+  recorder sim (fun record ->
+      Rbcast.on_deliver rb (fun dst (d : _ Rbcast.delivery) -> record ~src:d.origin ~dst d.body))
+
+let transport_recorder sim tr = recorder sim (Lossy.Transport.on_deliver tr)
+
+(* Deliveries to [dst] so far, in delivery order. *)
+let got log dst = List.rev (List.filter (fun d -> d.dst = dst) !log)
+let got_msgs log dst = List.map (fun d -> d.msg) (got log dst)
+
 (* Delay models *)
 
 let test_delay_constant () =
@@ -49,103 +75,97 @@ let test_delay_clamped () =
 let test_send_delivers () =
   let sim = mk () in
   let net : string Net.t = Net.create sim ~delay:(Delay.Constant 1.0) () in
+  let log = net_recorder sim net in
   Net.send net ~src:0 ~dst:1 "hello";
   ignore (Sim.run sim);
-  match Net.inbox net 1 with
-  | [ e ] ->
-      check "payload" true (e.payload = "hello");
-      check_int "src" 0 e.src;
-      Alcotest.(check (float 0.001)) "delivered_at" 1.0 e.delivered_at
+  match got log 1 with
+  | [ d ] ->
+      check "payload" true (d.msg = "hello");
+      check_int "src" 0 d.src;
+      Alcotest.(check (float 0.001)) "delivered at" 1.0 d.at
   | l -> Alcotest.failf "expected 1 message, got %d" (List.length l)
 
 let test_no_loss_no_dup () =
   let sim = mk () in
   let net : int Net.t = Net.create sim () in
+  let log = net_recorder sim net in
   for i = 1 to 100 do
     Net.send net ~src:0 ~dst:1 i
   done;
   ignore (Sim.run sim);
-  let got = List.map (fun e -> e.Net.payload) (Net.inbox net 1) in
   Alcotest.(check (list int)) "all delivered exactly once" (List.init 100 (fun i -> i + 1))
-    (List.sort compare got)
+    (List.sort compare (got_msgs log 1))
 
 let test_non_fifo_possible () =
   (* With spread-out delays, some pair of messages is reordered. *)
   let sim = mk ~seed:3 () in
   let net : int Net.t = Net.create sim ~delay:(Delay.Uniform (0.1, 10.0)) () in
+  let log = net_recorder sim net in
   for i = 1 to 50 do
     Net.send net ~src:0 ~dst:1 i
   done;
   ignore (Sim.run sim);
-  let got = List.map (fun e -> e.Net.payload) (Net.inbox net 1) in
-  check "reordering observed" true (got <> List.sort compare got)
+  let order = got_msgs log 1 in
+  check "reordering observed" true (order <> List.sort compare order)
 
 let test_send_from_crashed_dropped () =
   let sim = mk () in
   Sim.install_crashes sim [ (0, 1.0) ];
   let net : int Net.t = Net.create sim ~delay:(Delay.Constant 1.0) () in
+  let log = net_recorder sim net in
   Sim.schedule sim ~delay:5.0 (fun () -> Net.send net ~src:0 ~dst:1 99);
   ignore (Sim.run sim);
-  check_int "dead senders send nothing" 0 (List.length (Net.inbox net 1))
+  check_int "dead senders send nothing" 0 (List.length (got log 1))
 
 let test_send_to_crashed_dropped () =
   let sim = mk () in
   Sim.install_crashes sim [ (1, 0.5) ];
   let net : int Net.t = Net.create sim ~delay:(Delay.Constant 2.0) () in
+  let log = net_recorder sim net in
   Net.send net ~src:0 ~dst:1 7;
   ignore (Sim.run sim);
-  check_int "no delivery to the dead" 0 (List.length (Net.inbox net 1))
+  check_int "no delivery to the dead" 0 (List.length (got log 1))
 
 let test_in_flight_survives_sender_crash () =
   let sim = mk () in
   Sim.install_crashes sim [ (0, 1.0) ];
   let net : int Net.t = Net.create sim ~delay:(Delay.Constant 5.0) () in
+  let log = net_recorder sim net in
   Net.send net ~src:0 ~dst:1 42;
   ignore (Sim.run sim);
-  check_int "in-flight delivered" 1 (List.length (Net.inbox net 1))
+  check_int "in-flight delivered" 1 (List.length (got log 1))
 
 let test_send_at_adversarial () =
   let sim = mk () in
   let net : int Net.t = Net.create sim () in
+  let log = net_recorder sim net in
   Net.send_at net ~src:0 ~dst:1 ~deliver_at:33.25 5;
   ignore (Sim.run sim);
-  match Net.inbox net 1 with
-  | [ e ] -> Alcotest.(check (float 0.001)) "exact time" 33.25 e.delivered_at
+  match got log 1 with
+  | [ d ] -> Alcotest.(check (float 0.001)) "exact time" 33.25 d.at
   | _ -> Alcotest.fail "one message expected"
 
 let test_broadcast_reaches_all () =
   let sim = mk ~n:5 () in
   let net : string Net.t = Net.create sim () in
+  let log = net_recorder sim net in
   Net.broadcast net ~src:2 "b";
   ignore (Sim.run sim);
   for i = 0 to 4 do
-    check_int "everyone got it (incl. sender)" 1 (List.length (Net.inbox net i))
+    check_int "everyone got it (incl. sender)" 1 (List.length (got log i))
   done
 
 let test_broadcast_staggered_partial_on_crash () =
   let sim = mk ~n:5 ~t:1 () in
   Sim.install_crashes sim [ (0, 1.0) ];
   let net : int Net.t = Net.create sim ~delay:(Delay.Constant 0.1) () in
+  let log = net_recorder sim net in
   (* Sender p0 crashes at 1.0; with step 0.4 it reaches only destinations
      0, 1, 2 (sent at 0.0, 0.4, 0.8). *)
   Net.broadcast_staggered net ~src:0 ~step:0.4 7;
   ignore (Sim.run sim);
-  let receivers =
-    List.filter (fun i -> Net.inbox net i <> []) (List.init 5 Fun.id)
-  in
+  let receivers = List.filter (fun i -> got log i <> []) (List.init 5 Fun.id) in
   Alcotest.(check (list int)) "prefix only" [ 0; 1; 2 ] receivers
-
-let test_recv_filter_count_senders () =
-  let sim = mk () in
-  let net : int Net.t = Net.create sim () in
-  Net.send net ~src:0 ~dst:3 1;
-  Net.send net ~src:1 ~dst:3 2;
-  Net.send net ~src:1 ~dst:3 3;
-  ignore (Sim.run sim);
-  check_int "filter evens" 1 (List.length (Net.recv_filter net 3 (fun e -> e.payload mod 2 = 0)));
-  check_int "count" 3 (Net.recv_count net 3 (fun _ -> true));
-  check "distinct senders" true
-    (Pidset.equal (Net.distinct_senders net 3 (fun _ -> true)) (Pidset.of_list [ 0; 1 ]))
 
 let test_on_deliver_callbacks () =
   let sim = mk () in
@@ -156,45 +176,27 @@ let test_on_deliver_callbacks () =
   ignore (Sim.run sim);
   Alcotest.(check (list (pair int int))) "callback fired" [ (2, 9) ] !seen
 
-let test_retain_false_empty_inbox () =
-  let sim = mk () in
-  let net : int Net.t = Net.create sim ~retain:false () in
-  let count = ref 0 in
-  Net.on_deliver net (fun _ -> incr count);
-  Net.send net ~src:0 ~dst:1 1;
-  ignore (Sim.run sim);
-  check_int "callback still fires" 1 !count;
-  check_int "inbox empty" 0 (List.length (Net.inbox net 1));
-  check_int "counter still counts" 1 (Net.delivered_count net)
-
 let test_counters () =
   let sim = mk ~n:5 () in
   let net : unit Net.t = Net.create sim () in
   Net.broadcast net ~src:0 ();
   ignore (Sim.run sim);
   check_int "sent" 5 (Net.sent_count net);
-  check_int "delivered" 5 (Net.delivered_count net)
+  check_int "delivered" 5 (Trace.counter (Sim.trace sim) "net.delivered")
 
-let test_cursor_recv_since () =
-  let sim = mk () in
-  let net : int Net.t = Net.create sim ~delay:(Delay.Constant 1.0) () in
-  Net.send net ~src:0 ~dst:1 1;
-  Net.send net ~src:2 ~dst:1 2;
-  ignore (Sim.run sim);
-  let c = Net.mail_cursor net 1 in
-  check_int "cursor = mailbox length" 2 c;
-  Net.send net ~src:0 ~dst:1 3;
-  ignore (Sim.run sim);
-  Alcotest.(check (list int)) "only what arrived after the cursor" [ 3 ]
-    (List.map (fun e -> e.Net.payload) (Net.recv_since net 1 ~cursor:c));
-  Alcotest.(check (list int)) "cursor 0 = whole inbox"
-    (List.map (fun e -> e.Net.payload) (Net.inbox net 1))
-    (List.map (fun e -> e.Net.payload) (Net.recv_since net 1 ~cursor:0))
+(* The sender set behind [keyed_nsenders]/[keyed_meets], checked member
+   by member against [expected]. *)
+let check_senders net ~dst key expected =
+  check_int "nsenders" (Pidset.cardinal expected) (Net.keyed_nsenders net dst key);
+  for p = 0 to 4 do
+    check (Printf.sprintf "meets p%d" p) (Pidset.mem p expected)
+      (Net.keyed_meets net dst key (Pidset.singleton p))
+  done
 
-let test_keyed_index_matches_filters () =
-  (* The delivery-time keyed index must agree with a fold over the inbox:
-     count, distinct senders and summary, with every copy duplicated by a
-     fault spec (the summary must ignore the copies). *)
+let test_keyed_index_matches_handlers () =
+  (* The delivery-time keyed index must agree with a fold over the
+     recorded deliveries: distinct senders and summary, with every copy
+     duplicated by a fault spec (both must ignore the copies). *)
   let sim = mk ~seed:9 () in
   Sim.set_faults sim
     { Faults.none with Faults.links = [ Faults.link ~dup:1.0 ~from:0.0 ~until:1000.0 () ] };
@@ -208,56 +210,47 @@ let test_keyed_index_matches_filters () =
     Net.create_keyed sim ~delay:(Delay.Uniform (0.1, 3.0)) ~classify:(fun m -> m mod 2)
       ~summary:firsts ()
   in
+  let log = net_recorder sim net in
   (* One payload per sender and key, as round-based protocols send. *)
   for src = 0 to 3 do
     Net.send net ~src ~dst:4 (10 * src);
     Net.send net ~src ~dst:4 ((10 * src) + 1)
   done;
   ignore (Sim.run sim);
-  let inbox = Net.inbox net 4 in
-  check_int "every copy duplicated" 16 (List.length inbox);
+  let delivered = got log 4 in
+  check_int "every copy duplicated" 16 (List.length delivered);
   List.iter
     (fun key ->
-      let mine = List.filter (fun (e : int Net.envelope) -> e.payload mod 2 = key) inbox in
-      check_int "count (copies included)" (List.length mine) (Net.keyed_count net 4 key);
-      let senders =
-        List.fold_left (fun acc (e : int Net.envelope) -> Pidset.add e.src acc) Pidset.empty mine
-      in
-      check "senders" true (Pidset.equal senders (Net.keyed_senders net 4 key));
-      check_int "nsenders" (Pidset.cardinal senders) (Net.keyed_nsenders net 4 key);
+      let mine = List.filter (fun d -> d.msg mod 2 = key) delivered in
+      let senders = List.fold_left (fun acc d -> Pidset.add d.src acc) Pidset.empty mine in
+      check_senders net ~dst:4 key senders;
       Alcotest.(check (list (pair int int)))
         "summary = first payload per sender"
-        (List.sort_uniq compare (List.map (fun (e : int Net.envelope) -> (e.src, e.payload)) mine))
-        (Net.keyed_summary net 4 key);
-      check "meets a sender" true (Net.keyed_meets net 4 key (Pidset.singleton 2));
-      check "misses a non-sender" false (Net.keyed_meets net 4 key (Pidset.singleton 4)))
+        (List.sort_uniq compare (List.map (fun d -> (d.src, d.msg)) mine))
+        (Net.keyed_summary net 4 key))
     [ 0; 1 ];
-  check_int "absent key count" 0 (Net.keyed_count net 4 7);
-  check "absent key senders" true (Pidset.is_empty (Net.keyed_senders net 4 7));
+  check_senders net ~dst:4 7 Pidset.empty;
   check_int "absent key summary" 0 (List.length (Net.keyed_summary net 4 7));
   (* Retiring key 0: it reads empty, and a late delivery skips the index
-     while still reaching the mailbox. *)
+     while still reaching the handlers. *)
   Net.retire net 4 ~below:1;
   Net.send net ~src:4 ~dst:4 40;
   ignore (Sim.run sim);
-  check_int "late copies delivered" 18 (List.length (Net.inbox net 4));
-  check_int "retired count" 0 (Net.keyed_count net 4 0);
-  check "retired senders" true (Pidset.is_empty (Net.keyed_senders net 4 0));
+  check_int "late copies delivered" 18 (List.length (got log 4));
+  check_senders net ~dst:4 0 Pidset.empty;
   check_int "retired summary" 0 (List.length (Net.keyed_summary net 4 0));
-  check_int "live key untouched" 8 (Net.keyed_count net 4 1)
+  check_senders net ~dst:4 1 (Pidset.of_list [ 0; 1; 2; 3 ]);
+  check_int "live key untouched" 4 (List.length (Net.keyed_summary net 4 1))
 
-let test_keyed_index_with_retain_false () =
+(* The index stands on its own: a counts-only keyed net, read with no
+   handler registered and no message retained. *)
+let test_keyed_index_counts_only () =
   let sim = mk () in
-  let net : int Net.t =
-    Net.create_keyed sim ~retain:false ~classify:(fun m -> m) ~summary:Net.counts_only ()
-  in
+  let net : int Net.t = Net.create_keyed sim ~classify:(fun m -> m) ~summary:Net.counts_only () in
   Net.send net ~src:0 ~dst:1 5;
   Net.send net ~src:2 ~dst:1 5;
   ignore (Sim.run sim);
-  check_int "inbox empty" 0 (List.length (Net.inbox net 1));
-  check_int "keyed count still maintained" 2 (Net.keyed_count net 1 5);
-  check "keyed senders still maintained" true
-    (Pidset.equal (Pidset.of_list [ 0; 2 ]) (Net.keyed_senders net 1 5))
+  check_senders net ~dst:1 5 (Pidset.of_list [ 0; 2 ])
 
 let test_handlers_run_in_registration_order () =
   let sim = mk () in
@@ -269,43 +262,33 @@ let test_handlers_run_in_registration_order () =
   ignore (Sim.run sim);
   Alcotest.(check (list int)) "registration order" [ 1; 2 ] (List.rev !order)
 
-let test_delivery_signals_cond () =
-  let sim = mk () in
-  let net : int Net.t = Net.create sim ~delay:(Delay.Constant 1.0) () in
-  let woke = ref false in
-  Sim.spawn sim ~pid:1 (fun () ->
-      Sim.Cond.await [ Net.cond net 1 ] (fun () -> Net.inbox net 1 <> []);
-      woke := true);
-  Net.send net ~src:0 ~dst:1 5;
-  ignore (Sim.run sim);
-  check "delivery woke the waiter" true !woke
-
 (* Reliable broadcast *)
 
 let test_rb_basic_delivery () =
   let sim = mk ~n:5 () in
   let rb : string Rbcast.t = Rbcast.create sim () in
+  let log = rb_recorder sim rb in
   Rbcast.broadcast rb ~src:1 "m";
   ignore (Sim.run sim);
   for i = 0 to 4 do
-    match Rbcast.delivered rb i with
+    match got log i with
     | [ d ] ->
-        check "payload" true (d.body = "m");
-        check_int "origin" 1 d.origin
+        check "payload" true (d.msg = "m");
+        check_int "origin" 1 d.src
     | l -> Alcotest.failf "p%d delivered %d times" (i + 1) (List.length l)
   done
 
 let test_rb_integrity_no_duplicates () =
   let sim = mk ~n:5 () in
   let rb : int Rbcast.t = Rbcast.create sim () in
+  let log = rb_recorder sim rb in
   for k = 1 to 20 do
     Rbcast.broadcast rb ~src:(k mod 5) k
   done;
   ignore (Sim.run sim);
   for i = 0 to 4 do
-    let got = List.map (fun (d : int Rbcast.delivery) -> d.body) (Rbcast.delivered rb i) in
     Alcotest.(check (list int)) "each message once" (List.init 20 (fun k -> k + 1))
-      (List.sort compare got)
+      (List.sort compare (got_msgs log i))
   done
 
 let test_rb_termination_under_origin_crash () =
@@ -316,12 +299,13 @@ let test_rb_termination_under_origin_crash () =
   let rb : int Rbcast.t =
     Rbcast.create sim ~delay:(Delay.Constant 0.1) ~stagger:0.3 ()
   in
+  let log = rb_recorder sim rb in
   Rbcast.broadcast rb ~src:0 99;
   ignore (Sim.run sim);
   (* p0 reached destinations 0 and 1 before dying (sends at 0.0 and 0.3);
      p1 must have relayed to everyone. *)
   for i = 1 to 4 do
-    check_int "correct process delivered" 1 (List.length (Rbcast.delivered rb i))
+    check_int "correct process delivered" 1 (List.length (got log i))
   done
 
 let test_rb_all_or_nothing_when_unreached () =
@@ -329,21 +313,21 @@ let test_rb_all_or_nothing_when_unreached () =
   let sim = mk ~n:5 ~t:1 () in
   Sim.install_crashes sim [ (0, 0.0) ];
   let rb : int Rbcast.t = Rbcast.create sim () in
+  let log = rb_recorder sim rb in
   Sim.schedule sim ~delay:1.0 (fun () -> Rbcast.broadcast rb ~src:0 1);
   ignore (Sim.run sim);
   for i = 0 to 4 do
-    check_int "nobody delivered" 0 (List.length (Rbcast.delivered rb i))
+    check_int "nobody delivered" 0 (List.length (got log i))
   done
 
 let test_rb_validity_no_spurious () =
   let sim = mk ~n:5 () in
   let rb : int Rbcast.t = Rbcast.create sim () in
+  let log = rb_recorder sim rb in
   Rbcast.broadcast rb ~src:2 5;
   ignore (Sim.run sim);
   for i = 0 to 4 do
-    List.iter
-      (fun (d : int Rbcast.delivery) -> check "only the sent message" true (d.body = 5 && d.origin = 2))
-      (Rbcast.delivered rb i)
+    List.iter (fun d -> check "only the sent message" true (d.msg = 5 && d.src = 2)) (got log i)
   done
 
 let test_rb_agreement_same_set_everywhere () =
@@ -357,17 +341,14 @@ let test_rb_agreement_same_set_everywhere () =
     let rb : int Rbcast.t =
       Rbcast.create sim ~delay:(Delay.Uniform (0.1, 2.0)) ~stagger:0.2 ()
     in
+    let log = rb_recorder sim rb in
     for k = 0 to 5 do
       Sim.schedule sim ~delay:(float_of_int k) (fun () -> Rbcast.broadcast rb ~src:k (100 + k))
     done;
     ignore (Sim.run sim);
     let correct = Pidset.to_list (Sim.correct_set sim) in
     let sets =
-      List.map
-        (fun i ->
-          List.sort compare
-            (List.map (fun (d : int Rbcast.delivery) -> (d.origin, d.body)) (Rbcast.delivered rb i)))
-        correct
+      List.map (fun i -> List.sort compare (List.map (fun d -> (d.src, d.msg)) (got log i))) correct
     in
     match sets with
     | [] -> Alcotest.fail "no correct process"
@@ -415,10 +396,11 @@ let test_rb_delivery_order_can_differ () =
     if not !differs then begin
       let sim = mk ~n:5 ~seed () in
       let rb : int Rbcast.t = Rbcast.create sim ~delay:(Delay.Uniform (0.1, 5.0)) () in
+      let log = rb_recorder sim rb in
       Rbcast.broadcast rb ~src:0 1;
       Rbcast.broadcast rb ~src:1 2;
       ignore (Sim.run sim);
-      let order i = List.map (fun (d : int Rbcast.delivery) -> d.body) (Rbcast.delivered rb i) in
+      let order i = got_msgs log i in
       for i = 0 to 4 do
         if order i <> order 0 then differs := true
       done
@@ -460,16 +442,16 @@ let test_lossy_bad_loss_rejected () =
 let test_transport_reliable_over_heavy_loss () =
   let sim = Sim.create ~horizon:500.0 ~n:5 ~t:2 ~seed:24 () in
   let tr : int Lossy.Transport.t = Lossy.Transport.create sim ~loss:0.6 () in
+  let log = transport_recorder sim tr in
   for i = 1 to 30 do
     Lossy.Transport.send tr ~src:0 ~dst:1 i
   done;
-  let all_in () = List.length (Lossy.Transport.inbox tr 1) >= 30 in
+  let all_in () = List.length (got log 1) >= 30 in
   let o = Sim.run ~stop_when:all_in sim in
   check "stopped on completion" true (o.reason = Sim.Stopped);
-  let got = List.map snd (Lossy.Transport.inbox tr 1) in
   Alcotest.(check (list int)) "every message exactly once (60% loss)"
     (List.init 30 (fun i -> i + 1))
-    (List.sort compare got);
+    (List.sort compare (got_msgs log 1));
   check "retransmissions happened" true (Lossy.Transport.link_sent tr > 60)
 
 let test_transport_acks_clear_pending () =
@@ -525,17 +507,16 @@ let test_backoff_interval_capped () =
 
 let test_transport_backoff_metrics () =
   let sim = Sim.create ~horizon:2000.0 ~n:3 ~t:1 ~seed:26 () in
-  let tr : int Lossy.Transport.t =
-    Lossy.Transport.create sim ~loss:0.5 ~retransmit_every:0.5 ()
-  in
+  let tr : int Lossy.Transport.t = Lossy.Transport.create sim ~loss:0.5 () in
+  let log = transport_recorder sim tr in
   for i = 1 to 20 do
     Lossy.Transport.send tr ~src:0 ~dst:1 i
   done;
   ignore (Sim.run ~stop_when:(fun () -> Lossy.Transport.pending tr 0 = 0) sim);
-  let m = Lossy.Transport.metrics tr in
-  check_int "all delivered" 20 (List.length (Lossy.Transport.inbox tr 1));
-  check "retransmits recorded" true (Metrics.counter m "net.retransmits" > 0);
-  check "backoff resets recorded" true (Metrics.counter m "net.backoff_resets" > 0)
+  let counter = Trace.counter (Sim.trace sim) in
+  check_int "all delivered" 20 (List.length (got log 1));
+  check "retransmits recorded" true (counter "net.retransmits" > 0);
+  check "backoff resets recorded" true (counter "net.backoff_resets" > 0)
 
 (* qcheck: a sender crashing mid-staggered-broadcast reaches exactly a
    prefix of the destination order — and the reliable broadcast's echo
@@ -560,17 +541,18 @@ let qcheck_staggered_prefix =
       let sim = Sim.create ~horizon:100.0 ~n ~t:1 ~seed () in
       Sim.install_crashes sim [ (0, ct) ];
       let net : int Net.t = Net.create sim ~delay:(Delay.Constant 0.05) () in
+      let log = net_recorder sim net in
       Net.broadcast_staggered net ~src:0 ~step 99;
       ignore (Sim.run sim);
       (* Only the surviving destinations witness the prefix property —
          p0's own copy can be dropped by its crash. *)
       let live = List.init (n - 1) (fun i -> i + 1) in
-      let got = List.map (fun i -> Net.inbox net i <> []) live in
+      let reached = List.map (fun i -> got log i <> []) live in
       let rec is_prefix = function
         | true :: rest -> is_prefix rest
         | rest -> List.for_all not rest
       in
-      is_prefix got)
+      is_prefix reached)
 
 let qcheck_rbcast_masks_partial =
   QCheck.Test.make
@@ -584,11 +566,12 @@ let qcheck_rbcast_masks_partial =
       let rb : int Rbcast.t =
         Rbcast.create sim ~delay:(Delay.Constant 0.05) ~stagger:step ()
       in
+      let log = rb_recorder sim rb in
       Rbcast.broadcast rb ~src:0 42;
       ignore (Sim.run sim);
       let correct = List.init (n - 1) (fun i -> i + 1) in
       let cnt =
-        List.length (List.filter (fun i -> Rbcast.delivered rb i <> []) correct)
+        List.length (List.filter (fun i -> got log i <> []) correct)
       in
       cnt = 0 || cnt = List.length correct)
 
@@ -614,15 +597,11 @@ let () =
           Alcotest.test_case "send_at" `Quick test_send_at_adversarial;
           Alcotest.test_case "broadcast" `Quick test_broadcast_reaches_all;
           Alcotest.test_case "staggered partial" `Quick test_broadcast_staggered_partial_on_crash;
-          Alcotest.test_case "filters" `Quick test_recv_filter_count_senders;
           Alcotest.test_case "on_deliver" `Quick test_on_deliver_callbacks;
-          Alcotest.test_case "retain:false" `Quick test_retain_false_empty_inbox;
           Alcotest.test_case "counters" `Quick test_counters;
-          Alcotest.test_case "cursors" `Quick test_cursor_recv_since;
-          Alcotest.test_case "keyed index" `Quick test_keyed_index_matches_filters;
-          Alcotest.test_case "keyed w/o retain" `Quick test_keyed_index_with_retain_false;
+          Alcotest.test_case "keyed index" `Quick test_keyed_index_matches_handlers;
+          Alcotest.test_case "keyed w/o retain" `Quick test_keyed_index_counts_only;
           Alcotest.test_case "handler order" `Quick test_handlers_run_in_registration_order;
-          Alcotest.test_case "delivery signals cond" `Quick test_delivery_signals_cond;
         ] );
       ( "rbcast",
         [

@@ -181,6 +181,9 @@ let all_waiter_pred_evals = 25_194
 let test_cond_mode_evaluates_fewer_predicates () =
   let sim, _, _ = run_kset_mode ~seed:3 ~n:9 ~t:4 ~z:2 ~crashes:2 () in
   check_int "condition scheduler pred evals" 860 (Sim.pred_evals sim);
+  (* Signals that wake nobody change no execution, so only this count
+     sees them: each counted one is a quorum crossing or an R-delivery. *)
+  check_int "condition signals" 315 (Sim.cond_signals sim);
   check "strictly fewer than the all-waiter scan" true
     (Sim.pred_evals sim < all_waiter_pred_evals)
 
